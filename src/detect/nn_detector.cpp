@@ -23,6 +23,7 @@ NnDetector::NnDetector(std::size_t window_length, NnDetectorConfig config)
 
 void NnDetector::train(const EventStream& training) {
     alphabet_size_ = training.alphabet_size();
+    codec_ = NgramCodec(alphabet_size_);
     memo_.clear();
 
     const std::size_t context_len = window_length_ - 1;
@@ -54,10 +55,9 @@ void NnDetector::train(const EventStream& training) {
 }
 
 std::vector<double> NnDetector::predict(SymbolView context) const {
-    require(net_.has_value(), "neural-net detector must be trained before use");
-    require(context.size() == window_length_ - 1, "context length mismatch");
-    const NgramCodec codec(alphabet_size_);
-    const NgramKey key = codec.encode(context);
+    ADIV_REQUIRE(net_.has_value(), "neural-net detector must be trained before use");
+    ADIV_REQUIRE(context.size() == window_length_ - 1, "context length mismatch");
+    const NgramKey key = codec_.encode(context);
     if (auto cached = memo_.find(key)) return *std::move(cached);
     std::vector<double> probs = net_->forward(one_hot_context(context, alphabet_size_));
     memo_.store(key, probs);
@@ -65,9 +65,9 @@ std::vector<double> NnDetector::predict(SymbolView context) const {
 }
 
 std::vector<double> NnDetector::score(const EventStream& test) const {
-    require(net_.has_value(), "neural-net detector must be trained before scoring");
-    require(test.alphabet_size() == alphabet_size_,
-            "test alphabet does not match training alphabet");
+    ADIV_REQUIRE(net_.has_value(), "neural-net detector must be trained before scoring");
+    ADIV_REQUIRE(test.alphabet_size() == alphabet_size_,
+                 "test alphabet does not match training alphabet");
     const std::size_t context_len = window_length_ - 1;
     std::vector<double> responses;
     responses.reserve(test.window_count(window_length_));
@@ -119,6 +119,7 @@ NnDetector NnDetector::load_model(std::istream& in) {
     config.seed = read_u64(in, "seed");
     NnDetector detector(window, config);
     detector.alphabet_size_ = alphabet;
+    detector.codec_ = NgramCodec(alphabet);
     detector.training_loss_ = read_double(in, "training loss");
 
     MlpConfig net_config;

@@ -73,6 +73,9 @@ private:
     NnDetectorConfig config_;
     ResponseQuantizer quantizer_;
     std::size_t alphabet_size_ = 0;
+    /// Context-key codec for the training alphabet; rebuilt by train() and
+    /// load_model() so predict() builds none per window.
+    NgramCodec codec_{1};
     std::optional<Mlp> net_;
     double training_loss_ = 0.0;
     /// Forward passes memoized by context key; test streams repeat contexts

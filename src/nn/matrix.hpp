@@ -46,6 +46,14 @@ public:
     /// y = W x (y sized rows()). Requires x.size() == cols().
     void multiply(std::span<const double> x, std::span<double> y) const;
 
+    /// y = W x where x is zero outside `nonzero`, its ascending column list
+    /// (y sized rows()). Bit-identical to multiply(): each row sum starts at
+    /// +0.0, and a skipped zero column only adds a +-0 term, which leaves a
+    /// sum that started at +0.0 unchanged (given finite weights).
+    void multiply_sparse(std::span<const double> x,
+                         std::span<const std::size_t> nonzero,
+                         std::span<double> y) const;
+
     /// y = W^T x (y sized cols()). Requires x.size() == rows().
     void multiply_transposed(std::span<const double> x, std::span<double> y) const;
 

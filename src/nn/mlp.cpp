@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/error.hpp"
+#include "util/contracts.hpp"
 
 namespace adiv {
 
@@ -23,13 +23,13 @@ double sigmoid(double x) noexcept { return 1.0 / (1.0 + std::exp(-x)); }
 }  // namespace
 
 Mlp::Mlp(MlpConfig config) : config_(std::move(config)) {
-    require(config_.layer_sizes.size() >= 2,
-            "network needs at least input and output layers");
+    ADIV_REQUIRE(config_.layer_sizes.size() >= 2,
+                 "network needs at least input and output layers");
     for (std::size_t s : config_.layer_sizes)
-        require(s > 0, "layer sizes must be positive");
-    require(config_.learning_rate > 0.0, "learning rate must be positive");
-    require(config_.momentum >= 0.0 && config_.momentum < 1.0,
-            "momentum must be in [0,1)");
+        ADIV_REQUIRE(s > 0, "layer sizes must be positive");
+    ADIV_REQUIRE(config_.learning_rate > 0.0, "learning rate must be positive");
+    ADIV_REQUIRE(config_.momentum >= 0.0 && config_.momentum < 1.0,
+                 "momentum must be in [0,1)");
 
     Rng rng(config_.seed);
     layers_.reserve(config_.layer_sizes.size() - 1);
@@ -46,37 +46,57 @@ Mlp::Mlp(MlpConfig config) : config_(std::move(config)) {
     }
 }
 
-void Mlp::forward_internal(std::span<const double> input,
-                           std::vector<std::vector<double>>& activations) const {
-    require(input.size() == input_size(), "input size mismatch");
-    activations.assign(layers_.size() + 1, {});
-    activations[0].assign(input.begin(), input.end());
+// Scratch for one call, sized once and reused across its samples, so the
+// sample loop never allocates. Never a member: forward() runs concurrently
+// on one shared trained model.
+struct Mlp::Workspace {
+    explicit Workspace(const Mlp& net) {
+        nonzero.reserve(net.input_size());
+        outputs.reserve(net.layers_.size());
+        for (const Layer& layer : net.layers_) outputs.emplace_back(layer.bias.size());
+    }
+
+    std::vector<std::size_t> nonzero;          ///< input columns != 0, ascending
+    std::vector<std::vector<double>> outputs;  ///< outputs[i]: activation of layer i
+};
+
+void Mlp::forward_internal(std::span<const double> input, Workspace& ws) const {
+    ADIV_ASSERT(input.size() == input_size());
+    ws.nonzero.clear();
+    for (std::size_t c = 0; c < input.size(); ++c)
+        if (input[c] != 0.0) ws.nonzero.push_back(c);
     for (std::size_t i = 0; i < layers_.size(); ++i) {
         const Layer& layer = layers_[i];
-        std::vector<double> z(layer.weights.rows());
-        layer.weights.multiply(activations[i], z);
+        const std::span<double> z = ws.outputs[i];
+        if (i == 0)
+            layer.weights.multiply_sparse(input, ws.nonzero, z);
+        else
+            layer.weights.multiply(ws.outputs[i - 1], z);
         for (std::size_t r = 0; r < z.size(); ++r) z[r] += layer.bias[r];
         if (i + 1 == layers_.size()) {
             softmax_inplace(z);
         } else {
             for (double& v : z) v = sigmoid(v);
         }
-        activations[i + 1] = std::move(z);
     }
 }
 
 std::vector<double> Mlp::forward(std::span<const double> input) const {
-    std::vector<std::vector<double>> activations;
-    forward_internal(input, activations);
-    return std::move(activations.back());
+    ADIV_REQUIRE(input.size() == input_size(), "input size mismatch");
+    Workspace ws(*this);
+    forward_internal(input, ws);
+    return std::move(ws.outputs.back());
 }
 
 double Mlp::loss(std::span<const MlpSample> batch) const {
-    require(!batch.empty(), "loss over empty batch");
+    ADIV_REQUIRE(!batch.empty(), "loss over empty batch");
+    Workspace ws(*this);
     double total_weight = 0.0;
     double total_loss = 0.0;
     for (const MlpSample& sample : batch) {
-        const std::vector<double> y = forward(sample.input);
+        ADIV_REQUIRE(sample.input.size() == input_size(), "input size mismatch");
+        forward_internal(sample.input, ws);
+        const std::vector<double>& y = ws.outputs.back();
         double ce = 0.0;
         for (std::size_t c = 0; c < y.size(); ++c) {
             if (sample.target[c] > 0.0)
@@ -89,7 +109,13 @@ double Mlp::loss(std::span<const MlpSample> batch) const {
 }
 
 double Mlp::train_epoch(std::span<const MlpSample> batch) {
-    require(!batch.empty(), "training over empty batch");
+    ADIV_REQUIRE(!batch.empty(), "training over empty batch");
+    for (const MlpSample& sample : batch) {
+        ADIV_REQUIRE(sample.input.size() == input_size(), "sample input size mismatch");
+        ADIV_REQUIRE(sample.target.size() == output_size(),
+                     "sample target size mismatch");
+        ADIV_REQUIRE(sample.weight > 0.0, "sample weight must be positive");
+    }
 
     std::vector<Matrix> weight_grads;
     std::vector<std::vector<double>> bias_grads;
@@ -100,15 +126,18 @@ double Mlp::train_epoch(std::span<const MlpSample> batch) {
         bias_grads.emplace_back(layer.bias.size(), 0.0);
     }
 
+    Workspace ws(*this);
+    // Deltas are never input-sized: backpropagation stops at the first layer.
+    const std::size_t widest =
+        *std::max_element(config_.layer_sizes.begin() + 1, config_.layer_sizes.end());
+    std::vector<double> delta_buf(widest);
+    std::vector<double> prev_buf(widest);
+
     double total_weight = 0.0;
     double total_loss = 0.0;
-    std::vector<std::vector<double>> activations;
     for (const MlpSample& sample : batch) {
-        require(sample.input.size() == input_size(), "sample input size mismatch");
-        require(sample.target.size() == output_size(), "sample target size mismatch");
-        require(sample.weight > 0.0, "sample weight must be positive");
-        forward_internal(sample.input, activations);
-        const std::vector<double>& y = activations.back();
+        forward_internal(sample.input, ws);
+        const std::vector<double>& y = ws.outputs.back();
         for (std::size_t c = 0; c < y.size(); ++c)
             if (sample.target[c] > 0.0)
                 total_loss -=
@@ -116,13 +145,12 @@ double Mlp::train_epoch(std::span<const MlpSample> batch) {
         total_weight += sample.weight;
 
         // Softmax + cross-entropy: output delta is (y - t), scaled by weight.
-        std::vector<double> delta(y.size());
+        std::span<double> delta(delta_buf.data(), y.size());
         for (std::size_t c = 0; c < y.size(); ++c)
             delta[c] = sample.weight * (y[c] - sample.target[c]);
 
-        for (std::size_t i = layers_.size(); i > 0; --i) {
-            const std::size_t li = i - 1;
-            const std::vector<double>& in_act = activations[li];
+        for (std::size_t li = layers_.size() - 1; li > 0; --li) {
+            const std::vector<double>& in_act = ws.outputs[li - 1];
             Matrix& wg = weight_grads[li];
             std::vector<double>& bg = bias_grads[li];
             for (std::size_t r = 0; r < delta.size(); ++r) {
@@ -133,12 +161,23 @@ double Mlp::train_epoch(std::span<const MlpSample> batch) {
                     row[c] += d * in_act[c];
                 bg[r] += d;
             }
-            if (li == 0) break;
-            std::vector<double> prev_delta(in_act.size());
+            const std::span<double> prev_delta(prev_buf.data(), in_act.size());
             layers_[li].weights.multiply_transposed(delta, prev_delta);
             for (std::size_t c = 0; c < prev_delta.size(); ++c)
                 prev_delta[c] *= in_act[c] * (1.0 - in_act[c]);  // sigmoid'
-            delta = std::move(prev_delta);
+            std::swap(delta_buf, prev_buf);
+            delta = std::span<double>(delta_buf.data(), in_act.size());
+        }
+
+        // First layer: a zero input column adds only +-0 to its gradient
+        // entries, so visiting the nonzero columns leaves every sum unchanged.
+        const std::span<const double> input = sample.input;
+        for (std::size_t r = 0; r < delta.size(); ++r) {
+            const double d = delta[r];
+            if (d == 0.0) continue;
+            auto row = weight_grads[0].row(r);
+            for (std::size_t c : ws.nonzero) row[c] += d * input[c];
+            bias_grads[0][r] += d;
         }
     }
 
@@ -180,8 +219,8 @@ void Mlp::set_parameters(std::span<const double> params) {
     std::size_t offset = 0;
     for (Layer& layer : layers_) {
         auto flat = layer.weights.flat();
-        require(offset + flat.size() + layer.bias.size() <= params.size(),
-                "parameter vector too short");
+        ADIV_REQUIRE(offset + flat.size() + layer.bias.size() <= params.size(),
+                     "parameter vector too short");
         std::copy(params.begin() + static_cast<std::ptrdiff_t>(offset),
                   params.begin() + static_cast<std::ptrdiff_t>(offset + flat.size()),
                   flat.begin());
@@ -192,7 +231,7 @@ void Mlp::set_parameters(std::span<const double> params) {
                   layer.bias.begin());
         offset += layer.bias.size();
     }
-    require(offset == params.size(), "parameter vector size mismatch");
+    ADIV_REQUIRE(offset == params.size(), "parameter vector size mismatch");
 }
 
 }  // namespace adiv

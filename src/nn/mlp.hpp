@@ -71,9 +71,12 @@ private:
         std::vector<double> bias_velocity;
     };
 
-    /// Activations per layer for one input (activations_[0] = input copy).
-    void forward_internal(std::span<const double> input,
-                          std::vector<std::vector<double>>& activations) const;
+    /// Per-call scratch for forward/backward passes (defined in mlp.cpp).
+    struct Workspace;
+
+    /// Fills ws with the activation of every layer for one input; the first
+    /// layer's product visits only the input's nonzero columns.
+    void forward_internal(std::span<const double> input, Workspace& ws) const;
 
     MlpConfig config_;
     std::vector<Layer> layers_;

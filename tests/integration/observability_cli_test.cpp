@@ -20,6 +20,7 @@
 
 #include "io/stream_io.hpp"
 #include "support/corpus_fixture.hpp"
+#include "support/temp_path.hpp"
 
 namespace adiv {
 namespace {
@@ -62,7 +63,7 @@ protected:
     // Train once for the whole fixture: write a training stream from the
     // shared corpus, fit a stide model with the real tool.
     static void SetUpTestSuite() {
-        dir_ = new std::string(::testing::TempDir() + "adiv_obs_cli/");
+        dir_ = new std::string(test::temp_path("obs_cli/"));
         std::filesystem::create_directories(*dir_);
         save_stream_file(test::small_corpus().generate_heldout(20'000, 11),
                          *dir_ + "train.stream");
@@ -79,6 +80,7 @@ protected:
     }
 
     static void TearDownTestSuite() {
+        std::filesystem::remove_all(*dir_);
         delete dir_;
         dir_ = nullptr;
     }

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -12,6 +13,7 @@
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "support/temp_path.hpp"
 #include "util/error.hpp"
 
 namespace adiv {
@@ -79,7 +81,7 @@ TEST(ObsSessionInstall, DashSpecMeansStderr) {
 }
 
 TEST(ObsSessionInstall, FileSpecWritesManifestFirstLine) {
-    const std::string path = ::testing::TempDir() + "adiv_session_trace.jsonl";
+    const std::string path = test::temp_path("session_trace.jsonl");
     const std::shared_ptr<TraceSink> before = global_trace_sink();
     {
         ObsSession session("", path, make_manifest("adiv_test"));
@@ -92,6 +94,7 @@ TEST(ObsSessionInstall, FileSpecWritesManifestFirstLine) {
     EXPECT_EQ(lines[0].find("{\"type\":\"manifest\""), 0u);
     EXPECT_NE(lines[0].find("\"tool\":\"adiv_test\""), std::string::npos);
     EXPECT_NE(lines[1].find("\"type\":\"span_begin\""), std::string::npos);
+    std::remove(path.c_str());
 }
 
 TEST(ObsSessionInstall, UnwritableTracePathThrowsDataError) {
@@ -104,8 +107,7 @@ TEST(ObsSessionInstall, UnwritableTracePathThrowsDataError) {
 }
 
 TEST(ObsSessionCli, MetricsIntervalStartsSamplerAndWritesSeries) {
-    const std::string samples =
-        ::testing::TempDir() + "adiv_session_samples.jsonl";
+    const std::string samples = test::temp_path("session_samples.jsonl");
     CliParser cli("adiv_test", "test");
     add_observability_options(cli);
     const char* argv[] = {"adiv_test", "--metrics-interval=20",
@@ -121,6 +123,7 @@ TEST(ObsSessionCli, MetricsIntervalStartsSamplerAndWritesSeries) {
     for (const std::string& line : lines)
         EXPECT_NE(line.find("\"type\":\"metrics_sample\""), std::string::npos);
     EXPECT_NE(lines.back().find("test.session_events"), std::string::npos);
+    std::remove(samples.c_str());
 }
 
 TEST(ObsSessionCli, ZeroIntervalMeansNoSampler) {
@@ -133,7 +136,7 @@ TEST(ObsSessionCli, ZeroIntervalMeansNoSampler) {
 }
 
 TEST(ObsSessionMetrics, DumpWritesJsonFile) {
-    const std::string path = ::testing::TempDir() + "adiv_session_metrics.json";
+    const std::string path = test::temp_path("session_metrics.json");
     global_metrics().counter("test.dump_events").add(2);
     ObsSession session(path, "", make_manifest("adiv_test"));
     EXPECT_TRUE(session.metrics_requested());
@@ -142,6 +145,7 @@ TEST(ObsSessionMetrics, DumpWritesJsonFile) {
     const std::vector<std::string> lines = file_lines(path);
     ASSERT_EQ(lines.size(), 1u);
     EXPECT_NE(lines[0].find("\"test.dump_events\""), std::string::npos);
+    std::remove(path.c_str());
 }
 
 }  // namespace

@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "support/temp_path.hpp"
 #include "util/error.hpp"
 
 namespace adiv {
@@ -128,7 +130,7 @@ TEST(OpenTraceSink, SpecSelectsImplementation) {
     EXPECT_FALSE(open_trace_sink("")->enabled());
     EXPECT_FALSE(open_trace_sink("null")->enabled());
     EXPECT_TRUE(open_trace_sink("-")->enabled());
-    const std::string path = ::testing::TempDir() + "adiv_trace_sink_test.jsonl";
+    const std::string path = test::temp_path("trace_sink_test.jsonl");
     auto file_sink = open_trace_sink(path);
     ASSERT_TRUE(file_sink->enabled());
     file_sink->write_line("{\"type\":\"probe\"}");
@@ -137,6 +139,7 @@ TEST(OpenTraceSink, SpecSelectsImplementation) {
     std::string line;
     ASSERT_TRUE(std::getline(in, line));
     EXPECT_EQ(line, "{\"type\":\"probe\"}");
+    std::remove(path.c_str());
 }
 
 TEST(OpenTraceSink, UnwritablePathThrows) {

@@ -174,11 +174,13 @@ if [ "$tsan" -eq 1 ]; then
     # live-telemetry threads (sampler ticks, HTTP scrape listener), the
     # profiling layer (wait-site registry, flight-recorder ring, stamped
     # server pipeline), the fusion layer's served surface (ensemble
-    # sessions scored on shard strands, fused replay determinism), and the
+    # sessions scored on shard strands, fused replay determinism), the
     # request-tracing surface (single-writer sketch lanes merged at
-    # snapshot, traced sessions spanning client threads and shard strands).
+    # snapshot, traced sessions spanning client threads and shard strands),
+    # and the NN layer (per-call training and forward scratch while one
+    # trained model is scored from several threads).
     (cd build-tsan && ctest --output-on-failure -j "$jobs" \
-        -R 'ThreadPool|TaskGroup|EngineDeterminism|RunPlanWithSink|Maps\.|AllDetectorMaps|EnsembleClaims|Framing|Requests|Responses|Loopback|FrameHelpers|Tcp\.|ServerLoopback|ShardDeterminism|TelemetrySampler|HttpMetrics|WaitSite|Profiled|FlightRecorder|StageProfile|Contention|EnsembleScorer|ServeEnsemble|Fusion|QuantileSketch|SketchInstrument|TraceE2E')
+        -R 'ThreadPool|TaskGroup|EngineDeterminism|RunPlanWithSink|Maps\.|AllDetectorMaps|EnsembleClaims|Framing|Requests|Responses|Loopback|FrameHelpers|Tcp\.|ServerLoopback|ShardDeterminism|TelemetrySampler|HttpMetrics|WaitSite|Profiled|FlightRecorder|StageProfile|Contention|EnsembleScorer|ServeEnsemble|Fusion|QuantileSketch|SketchInstrument|TraceE2E|Mlp|NnDetector')
 fi
 
 if [ "$serve_smoke" -eq 1 ]; then
