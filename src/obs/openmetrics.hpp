@@ -4,16 +4,16 @@
 // metric-name rule); OpenMetrics names are `[a-zA-Z_:][a-zA-Z0-9_:]*`, so
 // the renderer maps every dot to '_' and prefixes `adiv_`:
 //
-//   serve.events_pushed   (counter)    ->  adiv_serve_events_pushed_total
-//   serve.queue_depth     (gauge)      ->  adiv_serve_queue_depth
-//   serve.push_latency_us (histogram)  ->  adiv_serve_push_latency_us
-//                                          {quantile="0.5"|"0.95"|"0.99"},
-//                                          plus _sum and _count series
+//   serve.events_pushed   (counter)  ->  adiv_serve_events_pushed_total
+//   serve.queue_depth     (gauge)    ->  adiv_serve_queue_depth
+//   serve.push_latency_us (sketch)   ->  adiv_serve_push_latency_us
+//                                        {quantile="0.5"|"0.95"|"0.99"},
+//                                        plus _sum and _count series
 //
-// Histograms are exposed as OpenMetrics summaries (the registry keeps
-// pre-digested percentiles, not cumulative buckets); a zero-sample histogram
-// renders every quantile as 0, never NaN. Quantile sketches render the same
-// way, except their p99 sample carries an OpenMetrics exemplar
+// Quantile sketches are exposed as OpenMetrics summaries (the registry keeps
+// pre-digested quantiles, not cumulative buckets); a zero-sample sketch
+// renders every quantile as 0, never NaN. `_sum` is the sketch's exact sum,
+// and a traced sketch's p99 sample carries an OpenMetrics exemplar
 // (` # {trace_id="...",span_id="..."} value`) naming the trace context of
 // the largest traced observation. The exposition ends with `# EOF` so stock
 // Prometheus accepts it as openmetrics-text 1.0.

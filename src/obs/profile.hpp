@@ -6,7 +6,7 @@
 //
 //   <site>.acquires    counter, passes through the site (blocked or not)
 //   <site>.contended   counter, passes that actually blocked
-//   <site>.wait_us     histogram over the blocked passes' wait times
+//   <site>.wait_us     sketch over the blocked passes' wait times
 //
 // — so wait-site data rides the existing OpenMetrics / sampler / METRICS
 // paths for free. ProfiledMutex drops into a std::mutex's place and times
@@ -18,7 +18,7 @@
 // The zero-overhead-when-off contract: instrumentation is gated twice.
 // Compile time: `cmake -DADIV_PROFILE=OFF` makes profiling_enabled() a
 // constexpr false, so every `if (profiling_enabled())` branch — and with it
-// every clock read, histogram record, and JSONL format — is dead code and a
+// every clock read, sketch record, and JSONL format — is dead code and a
 // ProfiledMutex is exactly a std::mutex. Run time (the default build):
 // profiling starts disabled and costs one relaxed atomic load per guarded
 // branch until set_profiling_enabled(true) turns it on (adiv_serve and
@@ -67,7 +67,7 @@ enum class WaitSiteKind { Contention, Idle };
 [[nodiscard]] std::string_view to_string(WaitSiteKind kind) noexcept;
 
 /// One named blocking point. Cheap to hold by reference: recording is two
-/// relaxed counter bumps plus (when blocked) one histogram record.
+/// relaxed counter bumps plus (when blocked) one sketch record.
 class WaitSite {
 public:
     WaitSite(std::string name, WaitSiteKind kind, MetricsRegistry& metrics);
@@ -86,14 +86,14 @@ public:
     [[nodiscard]] WaitSiteKind kind() const noexcept { return kind_; }
     [[nodiscard]] std::uint64_t acquires() const noexcept { return acquires_.value(); }
     [[nodiscard]] std::uint64_t contended() const noexcept { return contended_.value(); }
-    [[nodiscard]] HistogramSummary wait_summary() const { return wait_us_.summary(); }
+    [[nodiscard]] SketchSummary wait_summary() const { return wait_us_.summary(); }
 
 private:
     std::string name_;
     WaitSiteKind kind_;
     Counter& acquires_;
     Counter& contended_;
-    Histogram& wait_us_;
+    Sketch& wait_us_;
 };
 
 /// Point-in-time digest of one site, the unit of reporting.
@@ -213,7 +213,7 @@ private:
 /// Adapts the thread pool's probe hooks onto wait sites:
 ///   <prefix>.enqueue_block   Contention — submit() blocked on a full queue
 ///   <prefix>.dequeue_wait    Idle — a worker parked on an empty queue
-///   <prefix>.queue_depth     histogram over depths observed at enqueue
+///   <prefix>.queue_depth     sketch over depths observed at enqueue
 /// Install with pool.set_probe(&probe); the probe must outlive the pool's
 /// last submit.
 class WaitSiteThreadPoolProbe final : public ThreadPoolProbe {
@@ -230,7 +230,7 @@ public:
 private:
     WaitSite& enqueue_block_;
     WaitSite& dequeue_wait_;
-    Histogram& queue_depth_;
+    Sketch& queue_depth_;
 };
 
 /// Per-event pipeline stage durations (microseconds), stamped along the

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/error.hpp"
-
 namespace adiv {
 
 namespace {
@@ -15,6 +13,20 @@ namespace {
 // observed min / max.
 constexpr double kMinTracked = 1e-3;
 constexpr double kMaxTracked = 1e9;
+
+// The exact sum counts whole min_tracked() units: 1 / kMinTracked per unit
+// value. Dividing the integer total by this (rather than multiplying by the
+// inexact 1e-3) reports the correctly rounded decimal sum.
+constexpr double kUnitsPerValue = 1e3;
+// Per-record clamp so one conversion never leaves the int64 range.
+constexpr double kMaxUnitsPerRecord = 1e18;
+
+std::int64_t sum_units_of(double value) noexcept {
+    const double units = std::round(value * kUnitsPerValue);
+    if (std::isnan(units)) return 0;
+    return static_cast<std::int64_t>(
+        std::clamp(units, -kMaxUnitsPerRecord, kMaxUnitsPerRecord));
+}
 
 void atomic_fetch_min(std::atomic<double>& target, double value) noexcept {
     double current = target.load(std::memory_order_relaxed);
@@ -37,24 +49,23 @@ void atomic_fetch_max(std::atomic<double>& target, double value) noexcept {
 double QuantileSketch::min_tracked() noexcept { return kMinTracked; }
 double QuantileSketch::max_tracked() noexcept { return kMaxTracked; }
 
-QuantileSketch::QuantileSketch(double relative_error) : alpha_(relative_error) {
-    require(alpha_ > 0.0 && alpha_ < 0.5,
-            "sketch relative error must be in (0, 0.5)");
-    log_gamma_ = std::log((1.0 + alpha_) / (1.0 - alpha_));
+QuantileSketch::QuantileSketch()
+    : log_gamma_(std::log((1.0 + kRelativeError) / (1.0 - kRelativeError))) {
     const auto log_buckets = static_cast<std::size_t>(
         std::ceil(std::log(kMaxTracked / kMinTracked) / log_gamma_));
     buckets_ = std::vector<std::atomic<std::uint64_t>>(log_buckets + 2);
 }
 
 QuantileSketch::QuantileSketch(const QuantileSketch& other)
-    : alpha_(other.alpha_),
-      log_gamma_(other.log_gamma_),
+    : log_gamma_(other.log_gamma_),
       buckets_(other.buckets_.size()) {
     for (std::size_t i = 0; i < buckets_.size(); ++i)
         buckets_[i].store(other.buckets_[i].load(std::memory_order_relaxed),
                           std::memory_order_relaxed);
     count_.store(other.count_.load(std::memory_order_relaxed),
                  std::memory_order_relaxed);
+    sum_units_.store(other.sum_units_.load(std::memory_order_relaxed),
+                     std::memory_order_relaxed);
     min_.store(other.min_.load(std::memory_order_relaxed),
                std::memory_order_relaxed);
     max_.store(other.max_.load(std::memory_order_relaxed),
@@ -80,7 +91,7 @@ double QuantileSketch::estimate_of(std::size_t bucket) const noexcept {
         return max_.load(std::memory_order_relaxed);
     // The DDSketch midpoint 2 * gamma^i * m / (gamma + 1): for any x in the
     // bucket, estimate / x lies in [1 - alpha, 1 + alpha].
-    const double gamma = (1.0 + alpha_) / (1.0 - alpha_);
+    const double gamma = (1.0 + kRelativeError) / (1.0 - kRelativeError);
     const double upper =
         kMinTracked * std::exp(log_gamma_ * static_cast<double>(bucket));
     return 2.0 * upper / (gamma + 1.0);
@@ -88,6 +99,7 @@ double QuantileSketch::estimate_of(std::size_t bucket) const noexcept {
 
 void QuantileSketch::record(double value) noexcept {
     buckets_[bucket_of(value)].fetch_add(1, std::memory_order_relaxed);
+    sum_units_.fetch_add(sum_units_of(value), std::memory_order_relaxed);
     if (count_.fetch_add(1, std::memory_order_relaxed) == 0) {
         min_.store(value, std::memory_order_relaxed);
         max_.store(value, std::memory_order_relaxed);
@@ -127,6 +139,8 @@ void QuantileSketch::merge_from(const QuantileSketch& other) noexcept {
         if (n != 0) buckets_[i].fetch_add(n, std::memory_order_relaxed);
     }
     count_.fetch_add(other.count(), std::memory_order_relaxed);
+    sum_units_.fetch_add(other.sum_units_.load(std::memory_order_relaxed),
+                         std::memory_order_relaxed);
     const double other_min = other.min_.load(std::memory_order_relaxed);
     const double other_max = other.max_.load(std::memory_order_relaxed);
     if (was_empty) {
@@ -172,16 +186,9 @@ SketchSummary QuantileSketch::summary() const {
     if (s.count == 0) return s;
     s.min = min_.load(std::memory_order_relaxed);
     s.max = max_.load(std::memory_order_relaxed);
-    // Reconstruct the sum from bucket counts x bucket estimates: integer
-    // counts merge exactly, so the sum stays identical under any merge
-    // order, and each term is within the relative-error bound.
-    double sum = 0.0;
-    for (std::size_t i = 0; i < buckets_.size(); ++i) {
-        const std::uint64_t n = buckets_[i].load(std::memory_order_relaxed);
-        if (n != 0) sum += static_cast<double>(n) * estimate_of(i);
-    }
-    s.sum = sum;
-    s.mean = sum / static_cast<double>(s.count);
+    s.sum = static_cast<double>(sum_units_.load(std::memory_order_relaxed)) /
+            kUnitsPerValue;
+    s.mean = s.sum / static_cast<double>(s.count);
     s.p50 = quantile(0.50);
     s.p95 = quantile(0.95);
     s.p99 = quantile(0.99);
@@ -197,6 +204,7 @@ SketchSummary QuantileSketch::summary() const {
 void QuantileSketch::reset() noexcept {
     for (auto& bucket : buckets_) bucket.store(0, std::memory_order_relaxed);
     count_.store(0, std::memory_order_relaxed);
+    sum_units_.store(0, std::memory_order_relaxed);
     min_.store(0.0, std::memory_order_relaxed);
     max_.store(0.0, std::memory_order_relaxed);
     const std::lock_guard<std::mutex> lock(exemplar_mutex_);
@@ -205,14 +213,10 @@ void QuantileSketch::reset() noexcept {
     exemplar_span_ = 0;
 }
 
-Sketch::Sketch(std::size_t lanes, double relative_error) {
-    const std::size_t n = std::max<std::size_t>(lanes, 1);
-    lanes_.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) lanes_.emplace_back(relative_error);
-}
+Sketch::Sketch(std::size_t lanes) : lanes_(std::max<std::size_t>(lanes, 1)) {}
 
 QuantileSketch Sketch::merged() const {
-    QuantileSketch merged(lanes_.front().relative_error());
+    QuantileSketch merged;
     for (const QuantileSketch& lane : lanes_) merged.merge_from(lane);
     return merged;
 }

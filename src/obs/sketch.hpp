@@ -1,12 +1,13 @@
-// Mergeable streaming quantile sketch with trace-id exemplars.
+// Mergeable streaming quantile sketch with trace-id exemplars — the one
+// quantile type behind every latency and depth instrument in the registry.
 //
 // QuantileSketch is a DDSketch-style relative-error quantile estimator:
 // values land in log-spaced buckets with growth factor
 // gamma = (1 + alpha) / (1 - alpha), so any quantile estimate is within a
 // relative error of alpha of some observed value (the documented bound the
-// tests assert). The bucket layout is FIXED at construction — every sketch
-// built with the same alpha has the same buckets — which buys the two
-// properties the serve path needs and interpolated histograms cannot give:
+// tests assert). alpha is the constant kRelativeError, so every sketch has
+// the same bucket layout, which buys the two properties the serve path
+// needs and interpolated fixed-bucket tails cannot give:
 //
 //   * Deterministic: the summary is a pure function of the multiset of
 //     recorded values. Two runs that record the same values report
@@ -15,11 +16,17 @@
 //     per-shard sketches is exact, commutative, and associative — merging
 //     in any order yields the identical exposition (pinned by tests).
 //
-// To keep merges associative down to the last bit, the reported `sum` (and
-// `mean`) are reconstructed from bucket counts times bucket estimates, not
-// accumulated as floating-point at record time: integer bucket counts merge
-// exactly, while a running double sum would depend on addition order. The
-// sum therefore carries the same relative-error bound as the quantiles.
+// The reported `sum` (and `mean`) is exact, not estimated: each value is
+// rounded to the nearest multiple of min_tracked() (1e-3) and added to an
+// int64 accumulator in those units. Integer addition merges in any order
+// down to the last bit, so for values on the 1e-3 grid (microsecond
+// latencies at nanosecond resolution, integer depths) the sum equals the
+// decimal total exactly while |total| < 2^53 * 1e-3 (~9.0e12); past that
+// the double conversion rounds, and the accumulator wraps beyond ~9.2e15.
+//
+// Overflow: values beyond max_tracked() land in an overflow bucket whose
+// estimate is the observed max, so a tail past the tracked range reports
+// the exact largest value instead of a clamped bucket bound.
 //
 // Exemplars: record(value, trace, span) remembers the trace context of the
 // largest observation (ties broken lexicographically on (value, trace,
@@ -42,11 +49,10 @@
 
 namespace adiv {
 
-/// Point-in-time digest of a sketch; the shape mirrors HistogramSummary so
-/// the JSON/table renderers and bench writers stay uniform.
+/// Point-in-time digest of a sketch.
 struct SketchSummary {
     std::uint64_t count = 0;
-    double sum = 0.0;   ///< reconstructed from buckets; relative-error bound
+    double sum = 0.0;   ///< exact on the 1e-3 grid (see the file comment)
     double mean = 0.0;
     double min = 0.0;
     double max = 0.0;
@@ -65,15 +71,14 @@ struct SketchSummary {
 
 class QuantileSketch {
 public:
-    /// The default relative-error bound; ~1% keeps the bucket table at a
-    /// few kilobytes while beating interpolated histogram tails by an order
-    /// of magnitude.
-    static constexpr double kDefaultRelativeError = 0.01;
+    /// The relative-error bound alpha shared by every sketch; ~1% keeps the
+    /// bucket table at a few kilobytes while beating interpolated
+    /// fixed-bucket tails by an order of magnitude.
+    static constexpr double kRelativeError = 0.01;
 
-    explicit QuantileSketch(double relative_error = kDefaultRelativeError);
+    QuantileSketch();
 
     /// Snapshot copy (loads every counter; the source may keep recording).
-    /// Assignment is deleted: a sketch's bucket layout is fixed at birth.
     QuantileSketch(const QuantileSketch& other);
     QuantileSketch& operator=(const QuantileSketch&) = delete;
 
@@ -87,12 +92,11 @@ public:
     void record(double value, std::uint64_t trace_id,
                 std::uint64_t span_id) noexcept;
 
-    /// Bucketwise merge; both sketches must share one relative_error (the
-    /// bucket layout). Exact, commutative, and associative.
+    /// Bucketwise merge. Exact, commutative, and associative.
     void merge_from(const QuantileSketch& other) noexcept;
 
     /// Quantile estimate for q in [0, 1]; 0 when empty. Within
-    /// relative_error() of an observed value, clamped to [min, max].
+    /// kRelativeError of an observed value, clamped to [min, max].
     [[nodiscard]] double quantile(double q) const noexcept;
 
     [[nodiscard]] SketchSummary summary() const;
@@ -100,8 +104,6 @@ public:
     [[nodiscard]] std::uint64_t count() const noexcept {
         return count_.load(std::memory_order_relaxed);
     }
-
-    [[nodiscard]] double relative_error() const noexcept { return alpha_; }
 
     /// Smallest / largest magnitudes resolved by the log buckets.
     [[nodiscard]] static double min_tracked() noexcept;
@@ -115,12 +117,12 @@ private:
     void offer_exemplar(double value, std::uint64_t trace_id,
                         std::uint64_t span_id) noexcept;
 
-    double alpha_;
     double log_gamma_;  // log((1 + alpha) / (1 - alpha))
     // Dense counters: [0] underflow (<= min_tracked), [1..B] log buckets,
     // [B+1] overflow (> max_tracked).
     std::vector<std::atomic<std::uint64_t>> buckets_;
     std::atomic<std::uint64_t> count_{0};
+    std::atomic<std::int64_t> sum_units_{0};  // sum in units of min_tracked()
     std::atomic<double> min_{0.0};  // valid when count_ > 0
     std::atomic<double> max_{0.0};
 
@@ -140,8 +142,7 @@ private:
 /// yields the same digest as any other order.
 class Sketch {
 public:
-    explicit Sketch(std::size_t lanes = 1,
-                    double relative_error = QuantileSketch::kDefaultRelativeError);
+    explicit Sketch(std::size_t lanes = 1);
 
     void record(double value, std::size_t lane = 0) noexcept {
         lanes_[lane < lanes_.size() ? lane : 0].record(value);
@@ -154,10 +155,6 @@ public:
 
     [[nodiscard]] std::size_t lane_count() const noexcept {
         return lanes_.size();
-    }
-
-    [[nodiscard]] double relative_error() const noexcept {
-        return lanes_.front().relative_error();
     }
 
     /// All lanes merged, in ascending lane order.

@@ -24,14 +24,6 @@ std::size_t resolve_bound(std::size_t queue_capacity) {
     return queue_capacity != 0 ? queue_capacity : 1024;
 }
 
-// Depth buckets for the shard queue-depth histogram: powers of two, not the
-// default microsecond latency bounds.
-std::vector<double> depth_buckets() {
-    std::vector<double> bounds;
-    for (double b = 1.0; b <= 4096.0; b *= 2.0) bounds.push_back(b);
-    return bounds;
-}
-
 std::string_view verb_of(RequestType type) noexcept {
     switch (type) {
         case RequestType::Open: return "OPEN";
@@ -74,8 +66,7 @@ Server::Server(ServerConfig config, MetricsRegistry& metrics)
           metrics.sketch("serve.stage.reply_us", resolve_shards(config) + 1)),
       stage_total_us_(
           metrics.sketch("serve.stage.total_us", resolve_shards(config) + 1)),
-      shard_queue_depth_(
-          metrics.histogram("serve.shard.queue_depth", depth_buckets())),
+      shard_queue_depth_(metrics.sketch("serve.shard.queue_depth")),
       slot_wait_site_(wait_site("serve.shard.slot_wait")),
       enqueue_block_site_(wait_site("serve.shard.enqueue_block")),
       wakeup_site_(wait_site("serve.shard.wakeup")),

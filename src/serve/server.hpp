@@ -43,7 +43,7 @@
 //   serve.frames_rejected       counter, malformed frames / requests
 //   serve.responses_sent        counter
 //   serve.queue_depth           gauge, shard run-queue depth at enqueue
-//   serve.shard.queue_depth     histogram over the same depths (profiling)
+//   serve.shard.queue_depth     sketch over the same depths (profiling)
 //
 // Profiling (active only while profiling_enabled(); see obs/profile.hpp):
 // each handled request is stamped with recv_wait/recv_read/parse/queue/
@@ -282,7 +282,7 @@ private:
     Sketch& stage_score_us_;
     Sketch& stage_reply_us_;
     Sketch& stage_total_us_;
-    Histogram& shard_queue_depth_;
+    Sketch& shard_queue_depth_;
     WaitSite& slot_wait_site_;
     WaitSite& enqueue_block_site_;
     WaitSite& wakeup_site_;

@@ -167,7 +167,7 @@ TEST_F(ObservabilityCli, MetricsFileReceivesJsonDump) {
     EXPECT_NE(json.find("\"online.events_consumed\":6000"), std::string::npos);
     EXPECT_NE(json.find("\"gauges\":{"), std::string::npos);
     EXPECT_NE(json.find("\"online.alarm_rate\":"), std::string::npos);
-    EXPECT_NE(json.find("\"histograms\":{"), std::string::npos);
+    EXPECT_NE(json.find("\"sketches\":{"), std::string::npos);
     EXPECT_NE(json.find("\"p95\":"), std::string::npos);
 }
 

@@ -38,8 +38,8 @@ TEST(WaitSite, RegistersDottedInstrumentsInTheGivenRegistry) {
     site.record_wait_us(250.0);
     EXPECT_EQ(reg.counter("test.lock.acquires").value(), 2u);
     EXPECT_EQ(reg.counter("test.lock.contended").value(), 1u);
-    EXPECT_EQ(reg.histogram("test.lock.wait_us").summary().count, 1u);
-    EXPECT_DOUBLE_EQ(reg.histogram("test.lock.wait_us").summary().sum, 250.0);
+    EXPECT_EQ(reg.sketch("test.lock.wait_us").summary().count, 1u);
+    EXPECT_DOUBLE_EQ(reg.sketch("test.lock.wait_us").summary().sum, 250.0);
 }
 
 TEST(WaitSite, LookupIsIdempotentAndFirstKindWins) {
@@ -239,7 +239,7 @@ TEST(WaitSiteProbe, MapsPoolHooksOntoSitesAndDepthHistogram) {
     probe.queue_depth_sampled(3);
     EXPECT_EQ(reg.counter("test_pool.enqueue_block.contended").value(), 1u);
     EXPECT_EQ(reg.counter("test_pool.dequeue_wait.contended").value(), 1u);
-    EXPECT_EQ(reg.histogram("test_pool.queue_depth").summary().count, 1u);
+    EXPECT_EQ(reg.sketch("test_pool.queue_depth").summary().count, 1u);
     const std::vector<WaitSiteSummary> summaries = sites.summaries();
     ASSERT_EQ(summaries.size(), 2u);
     EXPECT_EQ(summaries[0].name, "test_pool.dequeue_wait");
@@ -258,7 +258,7 @@ TEST(WaitSiteProbe, InertWhileProfilingDisabled) {
     probe.queue_depth_sampled(3);
     EXPECT_EQ(reg.counter("test_pool.enqueue_block.acquires").value(), 0u);
     EXPECT_EQ(reg.counter("test_pool.dequeue_wait.acquires").value(), 0u);
-    EXPECT_EQ(reg.histogram("test_pool.queue_depth").summary().count, 0u);
+    EXPECT_EQ(reg.sketch("test_pool.queue_depth").summary().count, 0u);
 }
 
 TEST(WaitSiteProbe, BoundedPoolUnderLoadFeedsTheProbe) {
@@ -287,7 +287,7 @@ TEST(WaitSiteProbe, BoundedPoolUnderLoadFeedsTheProbe) {
             pool.async([] {}).get();
         }
     }  // ~ThreadPool drains the queue — a barrier, not a cancellation
-    EXPECT_GT(reg.histogram("test_pool.queue_depth").summary().count, 0u);
+    EXPECT_GT(reg.sketch("test_pool.queue_depth").summary().count, 0u);
     // 64 one-millisecond tasks through a 2-slot queue: the submitter blocked.
     EXPECT_GT(reg.counter("test_pool.enqueue_block.acquires").value(), 0u);
     // And a parked worker picked up the post-drain task.

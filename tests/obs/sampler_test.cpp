@@ -58,12 +58,12 @@ TEST(TelemetrySampler, EmitsByteExactSeriesUnderInjectedClock) {
               "{\"type\":\"metrics_sample\",\"seq\":0,"
               "\"timestamp\":\"2026-08-06T00:00:00Z\","
               "\"counters\":{\"test.events\":{\"total\":5,\"delta\":5}},"
-              "\"gauges\":{},\"histograms\":{}}");
+              "\"gauges\":{},\"sketches\":{}}");
     EXPECT_EQ(lines[1],
               "{\"type\":\"metrics_sample\",\"seq\":1,"
               "\"timestamp\":\"2026-08-06T00:00:00Z\","
               "\"counters\":{\"test.events\":{\"total\":7,\"delta\":2}},"
-              "\"gauges\":{},\"histograms\":{}}");
+              "\"gauges\":{},\"sketches\":{}}");
     EXPECT_EQ(sampler.samples_written(), 2u);
 }
 
@@ -75,7 +75,7 @@ TEST(TelemetrySampler, SameRegistryStateYieldsIdenticalFirstSample) {
         MetricsRegistry reg;
         reg.counter("test.events").add(41);
         reg.gauge("test.level").set(2.5);
-        reg.histogram("test.latency_us").record(10.0);
+        reg.sketch("test.latency_us").record(10.0);
         std::ostringstream out;
         TelemetrySamplerConfig config;
         config.clock = pinned_clock;
@@ -90,14 +90,14 @@ TEST(TelemetrySampler, SameRegistryStateYieldsIdenticalFirstSample) {
 
 TEST(TelemetrySampler, HistogramSamplesCarryDigestAndCountDelta) {
     MetricsRegistry reg;
-    reg.histogram("test.latency_us").record(4.0);
+    reg.sketch("test.latency_us").record(4.0);
     std::ostringstream out;
     TelemetrySamplerConfig config;
     config.clock = pinned_clock;
     TelemetrySampler sampler(reg, std::make_shared<StreamTraceSink>(out), config);
     sampler.sample_once();
-    reg.histogram("test.latency_us").record(8.0);
-    reg.histogram("test.latency_us").record(12.0);
+    reg.sketch("test.latency_us").record(8.0);
+    reg.sketch("test.latency_us").record(12.0);
     sampler.sample_once();
 
     const std::vector<std::string> lines = lines_of(out.str());
@@ -106,6 +106,33 @@ TEST(TelemetrySampler, HistogramSamplesCarryDigestAndCountDelta) {
               std::string::npos);
     EXPECT_NE(lines[1].find("\"test.latency_us\":{\"count\":3,\"delta\":2"),
               std::string::npos);
+}
+
+TEST(TelemetrySampler, LanedStageSketchAppearsInConsecutiveSamples) {
+    // A per-shard stage sketch records on several lanes; each sample must
+    // carry the merged count and the count delta since the previous tick.
+    MetricsRegistry reg;
+    Sketch& total = reg.sketch("serve.stage.total_us", /*lanes=*/3);
+    total.record(10.0, /*lane=*/0);
+    total.record(20.0, /*lane=*/2);
+    std::ostringstream out;
+    TelemetrySamplerConfig config;
+    config.clock = pinned_clock;
+    TelemetrySampler sampler(reg, std::make_shared<StreamTraceSink>(out), config);
+    sampler.sample_once();
+    total.record(30.0, /*lane=*/1);
+    sampler.sample_once();
+
+    const std::vector<std::string> lines = lines_of(out.str());
+    ASSERT_EQ(lines.size(), 2u);
+    EXPECT_NE(lines[0].find("\"sketches\":{\"serve.stage.total_us\":"
+                            "{\"count\":2,\"delta\":2,"),
+              std::string::npos)
+        << lines[0];
+    EXPECT_NE(lines[1].find("\"sketches\":{\"serve.stage.total_us\":"
+                            "{\"count\":3,\"delta\":1,"),
+              std::string::npos)
+        << lines[1];
 }
 
 TEST(TelemetrySampler, RegistryResetClampsDeltaToZero) {

@@ -1,12 +1,13 @@
 // QuantileSketch: the documented relative-error bound against exact offline
 // quantiles, bit-identical determinism across recording orders, merge
-// associativity down to the exposition string, exemplar selection, and the
-// per-shard lane instrument.
+// associativity down to the exposition string, the exact sum, exemplar
+// selection, and the per-shard lane instrument.
 #include "obs/sketch.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -65,7 +66,7 @@ TEST(QuantileSketch, QuantilesHonorTheDocumentedErrorBound) {
     const std::vector<double> values = log_uniform_sample(20'000, 97);
     QuantileSketch sketch;
     for (const double v : values) sketch.record(v);
-    const double alpha = sketch.relative_error();
+    const double alpha = QuantileSketch::kRelativeError;
     for (const double q : {0.5, 0.95, 0.99}) {
         const double exact = exact_quantile(values, q);
         const double estimate = sketch.quantile(q);
@@ -122,7 +123,7 @@ TEST(QuantileSketch, MergeIsAssociativeDownToTheSummaryBits) {
     const SketchSummary l = left.summary();
     const SketchSummary r = right.summary();
     EXPECT_EQ(l.count, r.count);
-    EXPECT_EQ(l.sum, r.sum);  // reconstructed from buckets: order-free
+    EXPECT_EQ(l.sum, r.sum);  // integer accumulator: order-free
     EXPECT_EQ(l.p50, r.p50);
     EXPECT_EQ(l.p95, r.p95);
     EXPECT_EQ(l.p99, r.p99);
@@ -133,6 +134,40 @@ TEST(QuantileSketch, MergeIsAssociativeDownToTheSummaryBits) {
     EXPECT_EQ(l.exemplar_trace, r.exemplar_trace);
     EXPECT_EQ(l.exemplar_span, r.exemplar_span);
     EXPECT_EQ(l.exemplar_value, r.exemplar_value);
+}
+
+TEST(QuantileSketch, SumIsTheExactDecimalTotalUnderAnyMergeOrder) {
+    // Values on the 1e-3 grid, from sub-microsecond to a second: the sum is
+    // the decimal total itself (0.1 + 0.2 reads 0.3, not 0.30000000000000004),
+    // whether recorded across lanes or merged in either order.
+    const std::vector<double> values = {0.5, 250.0, 1e6, 0.1, 0.2, 0.001, 42.125};
+    const double exact_total = 1000292.926;
+    Sketch lanes(/*lanes=*/3);
+    QuantileSketch per_lane[3];
+    for (std::size_t i = 0; i < values.size(); ++i) {
+        lanes.record(values[i], /*lane=*/i % 3);
+        per_lane[i % 3].record(values[i]);
+    }
+    QuantileSketch left(per_lane[0]);
+    left.merge_from(per_lane[1]);
+    left.merge_from(per_lane[2]);
+    QuantileSketch right(per_lane[2]);
+    right.merge_from(per_lane[1]);
+    right.merge_from(per_lane[0]);
+
+    const SketchSummary l = left.summary();
+    EXPECT_EQ(l.sum, exact_total);
+    EXPECT_EQ(l.mean, exact_total / static_cast<double>(values.size()));
+    for (const SketchSummary& other : {right.summary(), lanes.summary()}) {
+        // Bit for bit, every field of the digest.
+        EXPECT_EQ(other.count, l.count);
+        for (const auto& [x, y] :
+             {std::pair{other.sum, l.sum}, {other.mean, l.mean},
+              {other.min, l.min}, {other.max, l.max}, {other.p50, l.p50},
+              {other.p95, l.p95}, {other.p99, l.p99}})
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(x),
+                      std::bit_cast<std::uint64_t>(y));
+    }
 }
 
 TEST(QuantileSketch, ExemplarTracksTheLargestTracedObservation) {

@@ -24,6 +24,12 @@
 // counters must match the client-side tallies exactly (no lost or
 // duplicated responses); any mismatch makes the exit status nonzero.
 //
+// The reported seconds (and events/s) cover only the load itself: every
+// session OPENs and generates its stream, the sessions meet at a barrier,
+// and the clock runs from that barrier to the last CLOSE. The --verify
+// replays run after the clock stops, so verifying never changes the
+// measured throughput.
+//
 // --scrape drives the METRICS verb concurrently with the load: a scraper
 // connection pulls the OpenMetrics exposition twice mid-run, parses both,
 // and fails the run when any counter moves backwards between scrapes.
@@ -56,7 +62,7 @@
 //
 // --profile (sweep mode, ADIV_PROFILE builds) turns each point into a
 // contention profile: the global metrics registry is reset per point, the
-// server's serve.stage.* histograms and wait-site instruments are captured
+// server's serve.stage.* sketches and wait-site instruments are captured
 // after the drain, and a `profile:` line names the dominant wait site.
 // --profile-trace PATH additionally streams the sampled event_stage lines
 // and per-point wait_site digests as JSONL for `adiv_traceview
@@ -65,6 +71,7 @@
 // pulls each session's flight recorder (DUMP verb) before CLOSE and fails
 // the run if the dump does not replay as `seq=` records.
 #include <algorithm>
+#include <barrier>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -261,12 +268,50 @@ EnsembleAnalysis analyze_ensemble(const std::string& target,
     return analysis;
 }
 
+/// The timed region of one load run. Sessions OPEN and generate their
+/// streams, then meet at start() (the clock restarts as the last one
+/// arrives); each session calls stop() right after its CLOSE, and the last
+/// arrival reads the clock. The region thus spans the barrier to the last
+/// CLOSE: no stream generation, no --verify replay.
+class TimedRegion {
+public:
+    explicit TimedRegion(std::size_t sessions)
+        : start_(static_cast<std::ptrdiff_t>(sessions), Restart{&clock_}),
+          stop_(static_cast<std::ptrdiff_t>(sessions), Read{&clock_, &seconds_}) {}
+
+    void start() { start_.arrive_and_wait(); }
+    void stop() { stop_.arrive_and_wait(); }
+
+    /// Valid once every session has called stop().
+    [[nodiscard]] double seconds() const noexcept { return seconds_; }
+
+private:
+    struct Restart {
+        Stopwatch* clock;
+        void operator()() noexcept { clock->restart(); }
+    };
+    struct Read {
+        const Stopwatch* clock;
+        double* seconds;
+        void operator()() noexcept { *seconds = clock->seconds(); }
+    };
+
+    Stopwatch clock_;
+    double seconds_ = 0.0;
+    std::barrier<Restart> start_;
+    std::barrier<Read> stop_;
+};
+
 /// One full session against the server behind `transport`. Collects every
-/// score, checks DRAIN/CLOSE counters, optionally replays locally.
+/// score, checks DRAIN/CLOSE counters, optionally replays locally once the
+/// timed region has closed. Meets both `region` barriers exactly once, even
+/// when it fails early, so no other session is left waiting.
 SessionOutcome run_session(std::unique_ptr<serve::Transport> transport,
                            const LoadSpec& spec, std::size_t index,
-                           const ReplayFn& local_replay) {
+                           const ReplayFn& local_replay, TimedRegion& region) {
     SessionOutcome outcome;
+    bool started = false;
+    bool stopped = false;
     auto fail = [&](std::string what) {
         outcome.errors.push_back("session " + std::to_string(index) + ": " +
                                  std::move(what));
@@ -287,6 +332,8 @@ SessionOutcome run_session(std::unique_ptr<serve::Transport> transport,
         timed("OPEN", call.seconds());
         const Sequence events = make_session_stream(
             info.alphabet, spec.events_per_session, spec.seed + index);
+        started = true;
+        region.start();
 
         std::vector<double> scores;
         if (events.size() >= info.window)
@@ -327,6 +374,8 @@ SessionOutcome run_session(std::unique_ptr<serve::Transport> transport,
         call.restart();
         const serve::SessionCounts closed = client.close_session();
         timed("CLOSE", call.seconds());
+        stopped = true;
+        region.stop();
         if (closed.windows != drained.windows || closed.events != drained.events)
             fail("CLOSED counters disagree with DRAINED");
         client.disconnect();
@@ -342,6 +391,8 @@ SessionOutcome run_session(std::unique_ptr<serve::Transport> transport,
     } catch (const std::exception& e) {
         fail(e.what());
     }
+    if (!started) region.start();
+    if (!stopped) region.stop();
     return outcome;
 }
 
@@ -442,13 +493,14 @@ RunResult run_load(
     const std::function<std::unique_ptr<serve::Transport>(std::size_t)>& connect) {
     std::vector<SessionOutcome> outcomes(spec.sessions);
     std::vector<std::string> scrape_errors;
-    Stopwatch sw;
+    TimedRegion region(spec.sessions);
     {
         std::vector<std::thread> threads;
         threads.reserve(spec.sessions);
         for (std::size_t i = 0; i < spec.sessions; ++i)
             threads.emplace_back([&, i] {
-                outcomes[i] = run_session(connect(i), spec, i, local_replay);
+                outcomes[i] =
+                    run_session(connect(i), spec, i, local_replay, region);
             });
         // The scraper rides alongside the load so the exposition is pulled
         // while counters are actually moving.
@@ -459,7 +511,7 @@ RunResult run_load(
         if (scraper.joinable()) scraper.join();
     }
     RunResult result;
-    result.seconds = sw.seconds();
+    result.seconds = region.seconds();
     for (const auto& outcome : outcomes) {
         result.total_events += outcome.events;
         result.total_alarms += outcome.alarms;

@@ -19,7 +19,7 @@
 #                                       # daemon (METRICS verb + HTTP
 #                                       # GET /metrics, exposition validated)
 #   tools/ci_check.sh --profile-smoke   # also: profiled in-process loadgen
-#                                       # sweep (stage histograms, wait
+#                                       # sweep (stage sketches, wait
 #                                       # sites, hotpath JSON, traceview
 #                                       # --contention) plus a --profile
 #                                       # daemon driven with --dump and
@@ -232,6 +232,10 @@ if [ "$obs_smoke" -eq 1 ]; then
         echo "obs smoke: no final metrics dump" >&2; exit 1; }
     grep -q '"type":"metrics_sample"' "$smoke_dir/metrics.json.samples.jsonl" || {
         echo "obs smoke: sampler wrote no snapshot lines" >&2; exit 1; }
+    grep -q '"sketches":{.*"experiment\.cell_us":{"count":' \
+        "$smoke_dir/metrics.json.samples.jsonl" || {
+        echo "obs smoke: sampler series lacks the experiment.cell_us sketch" >&2
+        exit 1; }
     head -1 "$smoke_dir/trace.jsonl" | grep -q '"type":"manifest"' || {
         echo "obs smoke: trace does not start with a manifest" >&2; exit 1; }
 
