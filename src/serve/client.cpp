@@ -1,6 +1,7 @@
 #include "serve/client.hpp"
 
 #include <optional>
+#include <string_view>
 #include <utility>
 
 #include "obs/trace.hpp"
@@ -29,94 +30,89 @@ void Client::stamp_trace(Request& request) noexcept {
     last_span_id_ = request.span_id;
 }
 
-Response Client::call(const Request& request) {
-    write_frame(*transport_, serialize(request));
-    const std::optional<std::string> payload = read_frame(*transport_, decoder_);
-    require_data(payload.has_value(), "server closed the connection");
-    return parse_response(*payload);
+Request& Client::fresh_request(RequestType type) noexcept {
+    request_.type = type;
+    request_.target.clear();
+    request_.events.clear();
+    request_.trace_id = 0;
+    request_.span_id = 0;
+    return request_;
 }
 
-Response Client::checked(const Request& request) {
-    Response response = call(request);
+const Response& Client::exchange(const Request& request) {
+    // Every buffer is a member reused across calls and the reply is parsed
+    // straight out of the decoder, so a steady-state exchange allocates
+    // nothing. Failure messages are built only on the throw path.
+    serialize_into(request, payload_);
+    encode_frame_into(payload_, frame_);
+    transport_->write_all(frame_.data(), frame_.size());
+    const std::optional<std::string_view> reply =
+        read_frame_view(*transport_, decoder_);
+    if (!reply) throw DataError("server closed the connection");
+    parse_response_into(*reply, response_);
+    return response_;
+}
+
+Response Client::call(const Request& request) { return exchange(request); }
+
+const Response& Client::checked(const Request& request, ResponseType expected,
+                                const char* verb) {
+    const Response& response = exchange(request);
     if (response.type == ResponseType::Error)
         throw ServeError("server error: " + response.message);
+    if (response.type != expected)
+        throw DataError(std::string("unexpected response to ") + verb);
     return response;
 }
 
 OpenInfo Client::open(const std::string& target) {
-    Request request;
-    request.type = RequestType::Open;
+    Request& request = fresh_request(RequestType::Open);
     request.target = target;
     stamp_trace(request);
     std::optional<TraceSpan> span;
     if (request.trace_id != 0)
         span.emplace("serve.client_open",
                      TraceContext{request.trace_id, request.span_id});
-    const Response response = checked(request);
-    require_data(response.type == ResponseType::Opened,
-                 "unexpected response to OPEN");
+    const Response& response = checked(request, ResponseType::Opened, "OPEN");
     return OpenInfo{response.session_id, response.detector, response.window,
                     response.alphabet};
 }
 
 std::vector<double> Client::push(SymbolView events) {
-    Request request;
-    request.type = RequestType::Push;
+    Request& request = fresh_request(RequestType::Push);
     request.events.assign(events.begin(), events.end());
     stamp_trace(request);
     std::optional<TraceSpan> span;
     if (request.trace_id != 0)
         span.emplace("serve.client_push",
                      TraceContext{request.trace_id, request.span_id});
-    Response response = checked(request);
-    require_data(response.type == ResponseType::Scores,
-                 "unexpected response to PUSH");
-    return std::move(response.scores);
+    // The returned copy is the call's one allocation.
+    return checked(request, ResponseType::Scores, "PUSH").scores;
 }
 
 Response Client::stats() {
-    Request request;
-    request.type = RequestType::Stats;
-    Response response = checked(request);
-    require_data(response.type == ResponseType::Stats,
-                 "unexpected response to STATS");
-    return response;
+    return checked(fresh_request(RequestType::Stats), ResponseType::Stats, "STATS");
 }
 
 std::string Client::metrics() {
-    Request request;
-    request.type = RequestType::Metrics;
-    Response response = checked(request);
-    require_data(response.type == ResponseType::Metrics,
-                 "unexpected response to METRICS");
-    return std::move(response.exposition);
+    return checked(fresh_request(RequestType::Metrics), ResponseType::Metrics,
+                   "METRICS")
+        .exposition;
 }
 
 SessionCounts Client::drain() {
-    Request request;
-    request.type = RequestType::Drain;
-    const Response response = checked(request);
-    require_data(response.type == ResponseType::Drained,
-                 "unexpected response to DRAIN");
-    return response.counts;
+    return checked(fresh_request(RequestType::Drain), ResponseType::Drained, "DRAIN")
+        .counts;
 }
 
 std::string Client::dump() {
-    Request request;
-    request.type = RequestType::Dump;
-    Response response = checked(request);
-    require_data(response.type == ResponseType::Dumped,
-                 "unexpected response to DUMP");
-    return std::move(response.exposition);
+    return checked(fresh_request(RequestType::Dump), ResponseType::Dumped, "DUMP")
+        .exposition;
 }
 
 SessionCounts Client::close_session() {
-    Request request;
-    request.type = RequestType::Close;
-    const Response response = checked(request);
-    require_data(response.type == ResponseType::Closed,
-                 "unexpected response to CLOSE");
-    return response.counts;
+    return checked(fresh_request(RequestType::Close), ResponseType::Closed, "CLOSE")
+        .counts;
 }
 
 void Client::disconnect() { transport_->close(); }

@@ -75,11 +75,25 @@ public:
     [[nodiscard]] Transport& transport() noexcept { return *transport_; }
 
 private:
-    Response checked(const Request& request);
+    /// request_, reset to `type` with every field cleared.
+    Request& fresh_request(RequestType type) noexcept;
+    /// One round trip through the reused buffers; the result is response_,
+    /// valid until the next exchange.
+    const Response& exchange(const Request& request);
+    /// exchange(), throwing ServeError on ERR and DataError on any response
+    /// type but `expected`.
+    const Response& checked(const Request& request, ResponseType expected,
+                            const char* verb);
     void stamp_trace(Request& request) noexcept;
 
     std::unique_ptr<Transport> transport_;
     FrameDecoder decoder_;
+    // Reused across calls: a steady-state push() allocates only the vector
+    // it returns.
+    Request request_;
+    std::string payload_;
+    std::string frame_;
+    Response response_;
     std::uint64_t trace_id_ = 0;
     std::uint64_t request_index_ = 0;
     std::uint64_t last_span_id_ = 0;

@@ -40,8 +40,10 @@ std::optional<std::string_view> FrameDecoder::next_view() {
     const std::size_t avail = buffer_.size() - pos_;
     if (avail == 0) return std::nullopt;
     const std::string_view rest{buffer_.data() + pos_, avail};
-    require_data(std::isdigit(static_cast<unsigned char>(rest[0])) != 0,
-                 "malformed frame: length prefix is not a number");
+    // Every frame passes these checks, so their messages are built only on
+    // the throw path.
+    if (std::isdigit(static_cast<unsigned char>(rest[0])) == 0)
+        throw DataError("malformed frame: length prefix is not a number");
     const std::size_t sep = rest.find(' ');
     // The longest valid prefix announces kMaxFramePayload (7 digits); a run
     // of digits longer than that can never become a valid frame.
@@ -51,9 +53,10 @@ std::optional<std::string_view> FrameDecoder::next_view() {
     }
     std::size_t length = 0;
     const auto [end, ec] = std::from_chars(rest.data(), rest.data() + sep, length);
-    require_data(ec == std::errc() && end == rest.data() + sep,
-                 "malformed frame: length prefix is not a number");
-    require_data(length <= kMaxFramePayload, "malformed frame: payload too large");
+    if (ec != std::errc() || end != rest.data() + sep)
+        throw DataError("malformed frame: length prefix is not a number");
+    if (length > kMaxFramePayload)
+        throw DataError("malformed frame: payload too large");
     if (avail - sep - 1 < length) return std::nullopt;
     ADIV_ASSERT(pos_ + sep + 1 + length <= buffer_.size());
     pos_ += sep + 1 + length;
@@ -182,38 +185,51 @@ Request parse_request_stream(std::string_view payload) {
 
 }  // namespace
 
-std::string serialize(const Request& request) {
+void serialize_into(const Request& request, std::string& payload) {
+    payload.clear();
     switch (request.type) {
-        case RequestType::Open: {
-            require(!request.target.empty() &&
-                        request.target.find_first_of(" \t\n\r") == std::string::npos,
-                    "OPEN target must be a single non-empty token");
-            std::string payload = std::string(kOpen) + " " + request.target;
+        case RequestType::Open:
+            if (request.target.empty() ||
+                request.target.find_first_of(" \t\n\r") != std::string_view::npos)
+                throw InvalidArgument("OPEN target must be a single non-empty token");
+            payload += kOpen;
+            payload += ' ';
+            payload += request.target;
             append_trace(payload, request);
-            return payload;
-        }
-        case RequestType::Push: {
-            require(!request.events.empty(), "PUSH needs at least one event");
-            std::string payload(kPush);
+            return;
+        case RequestType::Push:
+            if (request.events.empty())
+                throw InvalidArgument("PUSH needs at least one event");
+            payload += kPush;
             for (const Symbol event : request.events) {
                 payload += ' ';
                 append_u64(payload, event);
             }
             append_trace(payload, request);
-            return payload;
-        }
+            return;
         case RequestType::Stats:
-            return std::string(kStats);
+            payload += kStats;
+            return;
         case RequestType::Metrics:
-            return std::string(kMetrics);
+            payload += kMetrics;
+            return;
         case RequestType::Drain:
-            return std::string(kDrain);
+            payload += kDrain;
+            return;
         case RequestType::Dump:
-            return std::string(kDump);
+            payload += kDump;
+            return;
         case RequestType::Close:
-            return std::string(kClose);
+            payload += kClose;
+            return;
     }
     throw InvalidArgument("unknown request type");
+}
+
+std::string serialize(const Request& request) {
+    std::string payload;
+    serialize_into(request, payload);
+    return payload;
 }
 
 void serialize_into(const Response& response, std::string& payload) {
@@ -329,10 +345,51 @@ Request parse_request(std::string_view payload) {
     return request;
 }
 
-Response parse_response(std::string_view payload) {
+namespace {
+
+// The hot response: scan the SCORES body in place — no stream, no
+// temporaries. A score token is exactly what std::from_chars (general
+// format) consumes in full, so subnormals round-trip and `+`-signed or hex
+// tokens, which no server emits, are rejected. Failure messages are built
+// only on the throw path.
+void parse_scores(std::string_view payload, std::size_t at,
+                  std::vector<double>& scores) {
+    const std::string_view count_token = take_token(payload, at);
+    std::size_t count = 0;
+    const auto [count_end, count_ec] = std::from_chars(
+        count_token.data(), count_token.data() + count_token.size(), count);
+    if (count_token.empty() || count_ec != std::errc() ||
+        count_end != count_token.data() + count_token.size())
+        throw DataError("SCORES count '" + std::string(count_token) +
+                        "' is not a number");
+    // Every score takes at least two payload bytes (a separator and a
+    // digit), so a larger count is a lie — reject it before reserving.
+    if (count > payload.size() / 2)
+        throw DataError("SCORES count " + std::string(count_token) +
+                        " exceeds what its payload can hold");
+    scores.reserve(count);
+    for (std::size_t i = 0; i < count; ++i) {
+        const std::string_view token = take_token(payload, at);
+        if (token.empty())
+            throw DataError("SCORES announces " + std::string(count_token) +
+                            " scores but carries " + std::to_string(i));
+        double value = 0.0;
+        const auto [end, ec] =
+            std::from_chars(token.data(), token.data() + token.size(), value);
+        if (ec != std::errc() || end != token.data() + token.size())
+            throw DataError("SCORES score '" + std::string(token) +
+                            "' is not a number");
+        scores.push_back(value);
+    }
+    if (!take_token(payload, at).empty())
+        throw DataError("trailing junk after SCORES");
+}
+
+// The stream-based response parser, kept for the cold verbs (everything but
+// SCORES). Fills a response that parse_response_into has already reset.
+void parse_response_stream(std::string_view payload, Response& response) {
     std::istringstream in{std::string(payload)};
     const std::string verb = read_token(in, "response verb");
-    Response response;
     if (verb == kOpened) {
         response.type = ResponseType::Opened;
         response.session_id = read_u64(in, "session id");
@@ -340,13 +397,6 @@ Response parse_response(std::string_view payload) {
         response.window = read_size(in, "window length");
         response.alphabet = read_size(in, "alphabet size");
         require_done(in, kOpened);
-    } else if (verb == kScores) {
-        response.type = ResponseType::Scores;
-        const std::size_t count = read_size(in, "score count");
-        response.scores.reserve(count);
-        for (std::size_t i = 0; i < count; ++i)
-            response.scores.push_back(read_double(in, "score"));
-        require_done(in, kScores);
     } else if (verb == kStats) {
         response.type = ResponseType::Stats;
         response.counts.events = read_u64(in, "events");
@@ -394,6 +444,33 @@ Response parse_response(std::string_view payload) {
     } else {
         throw DataError("unknown response verb '" + verb + "'");
     }
+}
+
+}  // namespace
+
+void parse_response_into(std::string_view payload, Response& response) {
+    response.type = ResponseType::Error;
+    response.session_id = 0;
+    response.detector.clear();
+    response.window = 0;
+    response.alphabet = 0;
+    response.scores.clear();
+    response.counts = {};
+    response.active_sessions = 0;
+    response.exposition.clear();
+    response.message.clear();
+    std::size_t at = 0;
+    if (take_token(payload, at) == kScores) {
+        response.type = ResponseType::Scores;
+        parse_scores(payload, at, response.scores);
+        return;
+    }
+    parse_response_stream(payload, response);
+}
+
+Response parse_response(std::string_view payload) {
+    Response response;
+    parse_response_into(payload, response);
     return response;
 }
 

@@ -39,6 +39,9 @@
 //   SCORES <n> <v1> ... <vn>        one response per completed window, in
 //                                   stream order; 17-significant-digit
 //                                   decimal, so doubles round-trip exactly
+//                                   (subnormals included). A <v> token is
+//                                   what std::from_chars' general format
+//                                   consumes in full: no `+` sign, no hex
 //   STATS <events> <windows> <alarms> <active-sessions>
 //   METRICS <nbytes> <exposition>   raw OpenMetrics text; nbytes covers the
 //                                   bytes after the single separator space
@@ -153,12 +156,17 @@ std::string serialize(const Response& response);
 Request parse_request(std::string_view payload);
 Response parse_response(std::string_view payload);
 
-/// Allocation-reusing variants for the serve hot path: the output (cleared
-/// first) and the Request's vectors keep their capacity across calls, and
-/// PUSH payloads / SCORES responses are formatted without streams or
-/// per-token temporaries. Byte-identical to serialize() / parse_request().
+/// Allocation-reusing variants for the PUSH round trip on both ends: the
+/// output (cleared first) and the Request's / Response's strings and vectors
+/// keep their capacity across calls, and PUSH requests / SCORES responses
+/// are formatted and parsed without streams or per-token temporaries.
+/// Byte-identical to serialize(); field-identical to parse_request() /
+/// parse_response(). After a parse throws, the output holds unspecified
+/// (valid) values.
+void serialize_into(const Request& request, std::string& payload);
 void serialize_into(const Response& response, std::string& payload);
 void parse_request_into(std::string_view payload, Request& request);
+void parse_response_into(std::string_view payload, Response& response);
 
 /// Convenience constructors for the error path.
 Response error_response(std::string message);

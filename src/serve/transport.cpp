@@ -110,9 +110,10 @@ void write_frame(Transport& transport, std::string_view payload) {
     transport.write_all(frame.data(), frame.size());
 }
 
-std::optional<std::string> read_frame(Transport& transport, FrameDecoder& decoder) {
+std::optional<std::string_view> read_frame_view(Transport& transport,
+                                               FrameDecoder& decoder) {
     for (;;) {
-        if (auto payload = decoder.next()) return payload;
+        if (const auto payload = decoder.next_view()) return payload;
         char buffer[4096];
         const std::size_t n = transport.read_some(buffer, sizeof buffer);
         if (n == 0) {
@@ -121,6 +122,12 @@ std::optional<std::string> read_frame(Transport& transport, FrameDecoder& decode
         }
         decoder.feed({buffer, n});
     }
+}
+
+std::optional<std::string> read_frame(Transport& transport, FrameDecoder& decoder) {
+    if (const auto payload = read_frame_view(transport, decoder))
+        return std::string(*payload);
+    return std::nullopt;
 }
 
 // ---------------------------------------------------------------------------

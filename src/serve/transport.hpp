@@ -67,6 +67,11 @@ void write_frame(Transport& transport, std::string_view payload);
 /// or a malformed prefix.
 std::optional<std::string> read_frame(Transport& transport, FrameDecoder& decoder);
 
+/// Zero-copy variant: the payload as a view into the decoder's buffer,
+/// valid until the decoder is next fed (the next read_frame* call).
+std::optional<std::string_view> read_frame_view(Transport& transport,
+                                               FrameDecoder& decoder);
+
 /// Listening TCP socket on 127.0.0.1. Construction binds and listens;
 /// port 0 picks an ephemeral port (see port()).
 class TcpListener {

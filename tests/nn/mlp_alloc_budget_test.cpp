@@ -1,88 +1,25 @@
 // Executable allocation budget for NN training and the NN score path.
 //
-// This file replaces the global operator new/delete family with counting
-// versions, so it builds into its own test binary (adiv_alloc_budget_tests):
-// the counter never reaches adiv_tests, and sanitizer builds, which interpose
-// the allocator themselves, leave the binary out.
+// Builds into adiv_alloc_budget_tests, whose global operator new counts
+// calls (support/counting_new.hpp).
 //
 // The training gate is scale-free: in steady state one train_epoch call must
 // make the same number of allocations for a batch of N samples as for 4N, so
 // no sample allocates.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
 #include "detect/nn_detector.hpp"
 #include "nn/mlp.hpp"
+#include "support/counting_new.hpp"
 #include "util/rng.hpp"
-
-namespace {
-
-std::atomic<std::uint64_t> g_allocations{0};
-
-void* counted_alloc(std::size_t size) {
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-    return std::malloc(size == 0 ? 1 : size);
-}
-
-void* counted_aligned_alloc(std::size_t size, std::align_val_t align) {
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-    const auto alignment = static_cast<std::size_t>(align);
-    const std::size_t rounded = (size + alignment - 1) / alignment * alignment;
-    return std::aligned_alloc(alignment, rounded == 0 ? alignment : rounded);
-}
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-    if (void* p = counted_alloc(size)) return p;
-    throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) {
-    if (void* p = counted_alloc(size)) return p;
-    throw std::bad_alloc();
-}
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-    return counted_alloc(size);
-}
-void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-    return counted_alloc(size);
-}
-void* operator new(std::size_t size, std::align_val_t align) {
-    if (void* p = counted_aligned_alloc(size, align)) return p;
-    throw std::bad_alloc();
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-    if (void* p = counted_aligned_alloc(size, align)) return p;
-    throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-    std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-    std::free(p);
-}
 
 namespace adiv {
 namespace {
 
-/// operator-new calls made while running fn on this thread.
-template <typename Fn>
-std::uint64_t allocations_during(Fn&& fn) {
-    const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
-    fn();
-    return g_allocations.load(std::memory_order_relaxed) - before;
-}
+using test::allocations_during;
 
 /// n samples shaped like the NN detector's at DW 15 over 8 symbols: a
 /// one-hot 14-symbol context, or dense inputs when `one_hot` is false.

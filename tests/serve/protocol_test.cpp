@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <vector>
 
 #include "util/error.hpp"
 
@@ -95,6 +97,25 @@ TEST(Requests, RoundTripEveryType) {
     }
 }
 
+TEST(Requests, SerializeIntoMatchesSerializeOverAReusedBuffer) {
+    Request push;
+    push.type = RequestType::Push;
+    push.events = {0, 7, 4294967295u};
+    Request open;
+    open.type = RequestType::Open;
+    open.target = "stide/6";
+    open.trace_id = 0xabULL;
+    open.span_id = 0xcdULL;
+    std::string payload = "stale bytes from an earlier request";
+    for (const Request& request : {push, open, Request{RequestType::Stats, "", {}}, push}) {
+        serialize_into(request, payload);
+        EXPECT_EQ(payload, serialize(request));
+    }
+    EXPECT_EQ(payload, "PUSH 0 7 4294967295");
+    EXPECT_THROW(serialize_into(Request{RequestType::Push, "", {}}, payload),
+                 InvalidArgument);
+}
+
 TEST(Requests, RejectsMalformedRecords) {
     EXPECT_THROW((void)parse_request("FROBNICATE"), DataError);
     EXPECT_THROW((void)parse_request(""), DataError);
@@ -152,16 +173,47 @@ TEST(Requests, RejectsMalformedTraceTokens) {
 }
 
 TEST(Responses, ScoresRoundTripBitIdentically) {
+    using limits = std::numeric_limits<double>;
     Response response;
     response.type = ResponseType::Scores;
     response.scores = {0.0, 1.0, 1.0 - 1e-9, 0.1234567890123456789,
-                       std::numeric_limits<double>::min(),
-                       std::nextafter(1.0, 0.0)};
+                       std::nextafter(1.0, 0.0), 1.0 / 3,
+                       -0.0, limits::min(), limits::max(),
+                       limits::denorm_min(),                  // 4.94...e-324
+                       std::nextafter(limits::min(), 0.0),    // largest subnormal
+                       limits::infinity(), -limits::infinity()};
     const Response parsed = parse_response(serialize(response));
     ASSERT_EQ(parsed.type, ResponseType::Scores);
     ASSERT_EQ(parsed.scores.size(), response.scores.size());
     for (std::size_t i = 0; i < response.scores.size(); ++i)
-        EXPECT_EQ(parsed.scores[i], response.scores[i]) << "score " << i;
+        EXPECT_EQ(std::memcmp(&parsed.scores[i], &response.scores[i], sizeof(double)), 0)
+            << "score " << i << " = " << response.scores[i];
+    // NaN as the server writes it, and the rest of the from_chars general
+    // grammar: bare `inf`/`nan` and a leading-dot fraction.
+    response.scores = {limits::quiet_NaN()};
+    EXPECT_TRUE(std::isnan(parse_response(serialize(response)).scores.at(0)));
+    const Response grammar = parse_response("SCORES 3 inf nan .5");
+    ASSERT_EQ(grammar.scores.size(), 3u);
+    EXPECT_EQ(grammar.scores[0], limits::infinity());
+    EXPECT_TRUE(std::isnan(grammar.scores[1]));
+    EXPECT_EQ(grammar.scores[2], 0.5);
+}
+
+TEST(Responses, ParseIntoResetsEveryFieldAndReusesScores) {
+    Response response;
+    parse_response_into("OPENED 9 stide 6 8", response);
+    parse_response_into("SCORES 2 0.25 1", response);
+    EXPECT_EQ(response.type, ResponseType::Scores);
+    EXPECT_EQ(response.session_id, 0u);
+    EXPECT_EQ(response.detector, "");
+    EXPECT_EQ(response.scores, (std::vector<double>{0.25, 1.0}));
+    const double* storage = response.scores.data();
+    parse_response_into("SCORES 1 0.5", response);
+    EXPECT_EQ(response.scores.data(), storage);  // capacity kept
+    parse_response_into("ERR bad symbol", response);
+    EXPECT_EQ(response.type, ResponseType::Error);
+    EXPECT_EQ(response.message, "bad symbol");
+    EXPECT_TRUE(response.scores.empty());
 }
 
 TEST(Responses, RoundTripEveryType) {
@@ -214,6 +266,19 @@ TEST(Responses, RejectsMalformedRecords) {
     EXPECT_THROW((void)parse_response("WAT 1"), DataError);
     EXPECT_THROW((void)parse_response("SCORES 2 0.5"), DataError);  // count lies
     EXPECT_THROW((void)parse_response("OPENED 1 stide"), DataError);
+    EXPECT_THROW((void)parse_response("SCORES"), DataError);
+    EXPECT_THROW((void)parse_response("SCORES -1 0.5"), DataError);
+    EXPECT_THROW((void)parse_response("SCORES 1 0.5 0.5"), DataError);  // junk
+    EXPECT_THROW((void)parse_response("SCORES 1 0.5x"), DataError);
+    // A count the payload cannot hold fails before any reservation, rather
+    // than escaping as bad_alloc / length_error.
+    EXPECT_THROW((void)parse_response("SCORES 99999999999999"), DataError);
+    EXPECT_THROW((void)parse_response("SCORES 18446744073709551615"), DataError);
+    EXPECT_THROW((void)parse_response("SCORES 99999999999999999999"), DataError);
+    // Tokens outside the from_chars general grammar, which no server emits.
+    EXPECT_THROW((void)parse_response("SCORES 1 +0.5"), DataError);
+    EXPECT_THROW((void)parse_response("SCORES 1 0x1p-2"), DataError);
+    EXPECT_THROW((void)parse_response("SCORES 1 1e400"), DataError);
 }
 
 TEST(Metrics, RequestRoundTrips) {
