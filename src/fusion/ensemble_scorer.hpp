@@ -15,7 +15,7 @@
 // (bit-identical member responses) and the rule sees frames in stream order
 // exactly once, so a serial per-event replay of the same spec over the same
 // stream reproduces every fused score bit — the property `adiv_loadgen
-// --ensemble --verify` and the shard-determinism suite check.
+// --target 'a+b;fuse=...' --verify` and the shard-determinism suite check.
 //
 // Hot path: push_batch reuses per-member scratch vectors and a frame
 // buffer, all of which keep their capacity across calls, so the serve

@@ -140,8 +140,8 @@ WaitSite& wait_site(const std::string& name,
                     WaitSiteKind kind = WaitSiteKind::Contention);
 
 /// The digest with the largest total wait among Contention sites, or nullptr
-/// when nothing contended. This is the "dominant wait site" the hot-path
-/// bench artifact names.
+/// when nothing contended. This is the "dominant wait site" that
+/// adiv_loadgen's `profile:` line and `adiv_traceview --contention` name.
 [[nodiscard]] const WaitSiteSummary* dominant_wait_site(
     const std::vector<WaitSiteSummary>& summaries) noexcept;
 

@@ -326,14 +326,15 @@ void parse_request_into(std::string_view payload, Request& request) {
             // final trace context — digit-only payloads never get here, so
             // the hot loop stays one from_chars per event.
             if (try_parse_trace(token, request)) {
-                require_data(take_token(payload, at).empty(),
-                             "PUSH trace context must be the final token");
+                if (!take_token(payload, at).empty())
+                    throw DataError("PUSH trace context must be the final token");
                 break;
             }
             require_data(false, "PUSH event '" + std::string(token) +
                                     "' is not a symbol id");
         }
-        require_data(!request.events.empty(), "PUSH carries no events");
+        // Checked inline: require_data would build its message on every PUSH.
+        if (request.events.empty()) throw DataError("PUSH carries no events");
         return;
     }
     request = parse_request_stream(payload);

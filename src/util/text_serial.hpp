@@ -7,6 +7,8 @@
 // so a truncated or corrupted file fails loudly.
 #pragma once
 
+#include <charconv>
+#include <cstdint>
 #include <iomanip>
 #include <istream>
 #include <ostream>
@@ -36,35 +38,33 @@ inline void expect_tag(std::istream& in, const std::string& tag) {
                  "model file corrupt: expected '" + tag + "', found '" + token + "'");
 }
 
+/// Parses `token` as a `T` with std::from_chars, which must consume the whole
+/// token: no sign on an unsigned value (so `-1` never wraps to 2^64 - 1), no
+/// leading `+`, no hex, no trailing junk. Subnormal doubles parse exactly,
+/// so every value write_double emits reads back.
+template <typename T>
+T parse_token(const std::string& token, const std::string& what) {
+    T value{};
+    const char* const last = token.data() + token.size();
+    const auto [end, ec] = std::from_chars(token.data(), last, value);
+    if (ec != std::errc() || end != last)
+        throw DataError("model file corrupt: '" + token + "' is not a valid " + what);
+    return value;
+}
+
 /// Reads an unsigned integer token.
 inline std::uint64_t read_u64(std::istream& in, const std::string& what) {
-    const std::string token = read_token(in, what);
-    try {
-        std::size_t consumed = 0;
-        const std::uint64_t value = std::stoull(token, &consumed);
-        require_data(consumed == token.size(), "trailing junk in " + what);
-        return value;
-    } catch (const std::logic_error&) {
-        throw DataError("model file corrupt: '" + token + "' is not a valid " + what);
-    }
+    return parse_token<std::uint64_t>(read_token(in, what), what);
 }
 
 /// Reads a size_t token.
 inline std::size_t read_size(std::istream& in, const std::string& what) {
-    return static_cast<std::size_t>(read_u64(in, what));
+    return parse_token<std::size_t>(read_token(in, what), what);
 }
 
-/// Reads a double token.
+/// Reads a double token (general format; `inf` and `nan` included).
 inline double read_double(std::istream& in, const std::string& what) {
-    const std::string token = read_token(in, what);
-    try {
-        std::size_t consumed = 0;
-        const double value = std::stod(token, &consumed);
-        require_data(consumed == token.size(), "trailing junk in " + what);
-        return value;
-    } catch (const std::logic_error&) {
-        throw DataError("model file corrupt: '" + token + "' is not a valid " + what);
-    }
+    return parse_token<double>(read_token(in, what), what);
 }
 
 }  // namespace adiv

@@ -2,13 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cstdio>
+#include <cstring>
+#include <limits>
 #include <sstream>
 
 #include "core/online.hpp"
 #include "support/corpus_fixture.hpp"
 #include "support/temp_path.hpp"
 #include "util/error.hpp"
+#include "util/text_serial.hpp"
 
 namespace adiv {
 namespace {
@@ -165,6 +169,51 @@ TEST(ModelIo, HmmModelPreservesParametersExactly) {
         for (std::size_t j = 0; j < 8; ++j)
             EXPECT_DOUBLE_EQ(restored.model().transitions().at(i, j),
                              original.model().transitions().at(i, j));
+}
+
+/// True when `a` and `b` have the same bit pattern (tells -0.0 from 0.0).
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+TEST(ModelIo, HmmModelRoundTripsExtremeDoublesBitExactly) {
+    // A hand-written 2-state, 2-symbol HMM whose doubles sit at the edges of
+    // the format: the smallest subnormal, a negative zero and DBL_MAX. Each
+    // must load, and survive a save/load cycle, with its bits unchanged.
+    const double denorm = std::numeric_limits<double>::denorm_min();
+    std::ostringstream text;
+    text << "3 2 2 1 100 ";
+    write_double(text, denorm);  // probability floor
+    text << " 7 ";
+    write_double(text, DBL_MAX);  // training log-likelihood
+    text << "\n1 ";
+    write_double(text, -0.0);
+    text << "\n0.5 0.5\n";
+    write_double(text, denorm);
+    text << " 1\n1 ";
+    write_double(text, -0.0);
+    text << "\n";
+    write_double(text, DBL_MAX);
+    text << " 0\n";
+    std::istringstream in(text.str());
+    const HmmDetector loaded = HmmDetector::load_model(in);
+    std::stringstream again;
+    loaded.save_model(again);
+    const HmmDetector reloaded = HmmDetector::load_model(again);
+    for (const HmmDetector* model : {&loaded, &reloaded}) {
+        EXPECT_TRUE(same_bits(model->config().probability_floor, denorm));
+        EXPECT_TRUE(same_bits(model->training_log_likelihood(), DBL_MAX));
+        EXPECT_TRUE(same_bits(model->model().initial()[1], -0.0));
+        EXPECT_TRUE(same_bits(model->model().transitions().at(1, 0), denorm));
+        EXPECT_TRUE(same_bits(model->model().emissions().at(0, 1), -0.0));
+        EXPECT_TRUE(same_bits(model->model().emissions().at(1, 0), DBL_MAX));
+    }
+}
+
+TEST(ModelIo, RejectsNegativeSizes) {
+    // A `-1` dimension must not wrap to SIZE_MAX.
+    std::istringstream window("adiv-model 1 stide -1 4 2 0 1 2 5 1 2 3 4");
+    EXPECT_THROW((void)load_detector(window), DataError);
+    std::istringstream count("adiv-model 1 stide 3 4 2 0 1 2 -5 1 2 3 4");
+    EXPECT_THROW((void)load_detector(count), DataError);
 }
 
 }  // namespace

@@ -3,8 +3,9 @@
 // Builds into adiv_alloc_budget_tests, whose global operator new counts
 // calls (support/counting_new.hpp). After one warm-up call sizes the reused
 // buffers, every codec step of a steady-state PUSH — request serialization,
-// framing, frame decoding and SCORES parsing — must allocate nothing, at the
-// chatty (32-event) and the bulk (512-event) frame size alike.
+// framing, frame decoding, the server's request parse and SCORES parsing —
+// must allocate nothing, at the chatty (32-event) and the bulk (512-event)
+// frame size alike.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -75,6 +76,25 @@ TEST(ClientCodecAllocBudget, DecodeFrameViewAllocatesNothing) {
         round();  // warm-up
         EXPECT_EQ(allocations_during(round), 0u) << n << " events";
         EXPECT_EQ(decoded, 2 * (frame.size() - frame.find(' ') - 1));
+    }
+}
+
+TEST(ServerCodecAllocBudget, ParsePushRequestAllocatesNothing) {
+    for (const std::size_t n : kFrameSizes) {
+        Request untraced = push_request(n);
+        Request traced = untraced;
+        traced.trace_id = 0xdeadbeef01234567ULL;
+        traced.span_id = 0x0123456789abcdefULL;
+        for (const Request* sent : {&untraced, &traced}) {
+            const std::string payload = serialize(*sent);
+            Request request;
+            parse_request_into(payload, request);  // warm-up
+            EXPECT_EQ(allocations_during([&] { parse_request_into(payload, request); }),
+                      0u)
+                << n << " events, trace id " << sent->trace_id;
+            EXPECT_EQ(request.events, sent->events);
+            EXPECT_EQ(request.trace_id, sent->trace_id);
+        }
     }
 }
 

@@ -122,6 +122,10 @@ TEST(Requests, RejectsMalformedRecords) {
     EXPECT_THROW((void)parse_request("OPEN"), DataError);        // missing target
     EXPECT_THROW((void)parse_request("PUSH 1 banana"), DataError);
     EXPECT_THROW((void)parse_request("PUSH -3"), DataError);
+    EXPECT_THROW((void)parse_request("PUSH"), DataError);  // no events
+    EXPECT_THROW((void)parse_request(
+                     "PUSH 1 trace=00000000000000ff:0000000000000001 2"),
+                 DataError);  // trace context not last
     EXPECT_THROW((void)parse_request("STATS please"), DataError);  // trailing junk
     EXPECT_THROW((void)parse_request("CLOSE 1"), DataError);
 }
@@ -279,6 +283,10 @@ TEST(Responses, RejectsMalformedRecords) {
     EXPECT_THROW((void)parse_response("SCORES 1 +0.5"), DataError);
     EXPECT_THROW((void)parse_response("SCORES 1 0x1p-2"), DataError);
     EXPECT_THROW((void)parse_response("SCORES 1 1e400"), DataError);
+    // A signed count or id is rejected instead of wrapping to 2^64 - k.
+    EXPECT_THROW((void)parse_response("OPENED -1 stide 6 8"), DataError);
+    EXPECT_THROW((void)parse_response("STATS -5 0 0 1"), DataError);
+    EXPECT_THROW((void)parse_response("DRAINED 1 -2 0"), DataError);
 }
 
 TEST(Metrics, RequestRoundTrips) {

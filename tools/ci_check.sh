@@ -10,7 +10,8 @@
 #   tools/ci_check.sh --serve-smoke     # also: train a model, start the
 #                                       # adiv_serve daemon on an ephemeral
 #                                       # port, drive it with adiv_loadgen
-#                                       # (verified), SIGTERM-drain it
+#                                       # (verified: non-zero exit on any
+#                                       # score mismatch), SIGTERM-drain it
 #   tools/ci_check.sh --obs-smoke       # also: run a small instrumented map
 #                                       # experiment (--trace + periodic
 #                                       # --metrics-interval snapshots),
@@ -20,8 +21,8 @@
 #                                       # GET /metrics, exposition validated)
 #   tools/ci_check.sh --profile-smoke   # also: profiled in-process loadgen
 #                                       # sweep (stage sketches, wait
-#                                       # sites, hotpath JSON, traceview
-#                                       # --contention) plus a --profile
+#                                       # sites, traceview --contention)
+#                                       # plus a --profile
 #                                       # daemon driven with --dump and
 #                                       # SIGUSR1 flight-recorder dumps
 #   tools/ci_check.sh --shard-smoke     # also: start adiv_serve --shards 4
@@ -34,9 +35,12 @@
 #                                       # members, start a sharded daemon
 #                                       # serving both, OPEN ensemble sessions
 #                                       # over TCP (verified against the local
-#                                       # serial replay), run the --ensemble
-#                                       # sweep + analysis, and scrape
-#                                       # /metrics for the fusion.* instruments
+#                                       # serial replay), scrape /metrics for
+#                                       # the fusion.* instruments, and run a
+#                                       # verified in-process sweep per fusion
+#                                       # rule (the fused-suppression claim
+#                                       # itself is the tier-1 test
+#                                       # EnsembleClaims.FusedRuleBeats...)
 #   tools/ci_check.sh --trace-smoke     # also: request tracing end to end —
 #                                       # a --trace daemon driven by a --trace
 #                                       # loadgen (verified), the printed
@@ -203,10 +207,11 @@ if [ "$serve_smoke" -eq 1 ]; then
         sleep 0.2
     done
     [ -n "$port" ] || { echo "serve smoke: daemon never reported a port" >&2; exit 1; }
+    # A score mismatch or a counter disagreement makes loadgen exit non-zero
+    # (fatal under set -e); the suffix is printed only on a clean verify.
     ./build/tools/adiv_loadgen --port "$port" --model "$smoke_dir/model.adiv" \
-        --sessions 8 --events 20000 --verify \
-        --out "$smoke_dir/BENCH_serve_smoke.json"
-    grep -q '"verified":true' "$smoke_dir/BENCH_serve_smoke.json" || {
+        --sessions 8 --events 20000 --verify > "$smoke_dir/loadgen.log"
+    grep -q '(verified bit-identical)' "$smoke_dir/loadgen.log" || {
         echo "serve smoke: loadgen did not verify" >&2; exit 1; }
     kill -TERM "$serve_pid"
     wait "$serve_pid" || { echo "serve smoke: daemon exited non-zero" >&2; exit 1; }
@@ -298,9 +303,7 @@ if [ "$profile_smoke" -eq 1 ]; then
     ./build/tools/adiv_loadgen --model "$smoke_dir/model.adiv" \
         --sweep-jobs 1,2 --sessions 4 --events 8000 \
         --profile --profile-sample 8 --dump \
-        --profile-trace "$smoke_dir/profile.jsonl" \
-        --hotpath-out "$smoke_dir/BENCH_serve_hotpath.json" \
-        > "$smoke_dir/sweep.log"
+        --profile-trace "$smoke_dir/profile.jsonl" > "$smoke_dir/sweep.log"
     grep -q 'profile: stage samples=' "$smoke_dir/sweep.log" || {
         echo "profile smoke: sweep printed no profile line" >&2; exit 1; }
     if grep -q 'profile: stage samples=0,' "$smoke_dir/sweep.log"; then
@@ -309,10 +312,6 @@ if [ "$profile_smoke" -eq 1 ]; then
     fi
     grep -q 'client latency PUSH' "$smoke_dir/sweep.log" || {
         echo "profile smoke: no client-side PUSH latency summary" >&2; exit 1; }
-    grep -q '"dominant_wait_site":"' "$smoke_dir/BENCH_serve_hotpath.json" || {
-        echo "profile smoke: hotpath JSON names no dominant wait site" >&2
-        exit 1
-    }
     ./build/tools/adiv_traceview --contention "$smoke_dir/profile.jsonl" \
         > "$smoke_dir/contention.txt"
     grep -q 'stage breakdown' "$smoke_dir/contention.txt" || {
@@ -389,9 +388,8 @@ if [ "$shard_smoke" -eq 1 ]; then
     grep -q 'shards=4' "$smoke_dir/serve.log" || {
         echo "shard smoke: daemon did not report shards=4" >&2; exit 1; }
     ./build/tools/adiv_loadgen --port "$port" --model "$smoke_dir/model.adiv" \
-        --sessions 8 --events 20000 --verify \
-        --out "$smoke_dir/BENCH_shard_smoke.json" > "$smoke_dir/loadgen.log"
-    grep -q '"verified":true' "$smoke_dir/BENCH_shard_smoke.json" || {
+        --sessions 8 --events 20000 --verify > "$smoke_dir/loadgen.log"
+    grep -q '(verified bit-identical)' "$smoke_dir/loadgen.log" || {
         echo "shard smoke: loadgen did not verify against the sharded daemon" >&2
         exit 1
     }
@@ -453,9 +451,8 @@ if [ "$ensemble_smoke" -eq 1 ]; then
     ./build/tools/adiv_loadgen --port "$port" \
         --model "$smoke_dir/stide.adiv,$smoke_dir/markov.adiv" \
         --target 'stide/6+markov/6;fuse=ds' \
-        --sessions 8 --events 20000 --verify \
-        --out "$smoke_dir/BENCH_ensemble_smoke.json" > "$smoke_dir/loadgen.log"
-    grep -q '"verified":true' "$smoke_dir/BENCH_ensemble_smoke.json" || {
+        --sessions 8 --events 20000 --verify > "$smoke_dir/loadgen.log"
+    grep -q '(verified bit-identical)' "$smoke_dir/loadgen.log" || {
         echo "ensemble smoke: served ensemble scores did not verify" >&2
         exit 1
     }
@@ -477,18 +474,18 @@ if [ "$ensemble_smoke" -eq 1 ]; then
     grep -q 'drained' "$smoke_dir/serve.log" || {
         echo "ensemble smoke: daemon did not drain cleanly" >&2; exit 1; }
 
-    echo "-- ensemble smoke: in-process --ensemble sweep + analysis --"
-    ./build/tools/adiv_loadgen \
-        --model "$smoke_dir/stide.adiv,$smoke_dir/markov.adiv" \
-        --ensemble 'stide/6+markov/6' --sweep-shards 1,2 --sweep-jobs 0,1 \
-        --sessions 4 --events 6000 --verify \
-        --ensemble-out "$smoke_dir/BENCH_serve_ensemble.json" \
-        > "$smoke_dir/sweep.log"
-    grep -q '"suppression_demonstrated":true' \
-        "$smoke_dir/BENCH_serve_ensemble.json" || {
-        echo "ensemble smoke: no fused rule beat its best member" >&2
-        exit 1
-    }
+    echo "-- ensemble smoke: verified in-process sweep per fusion rule --"
+    for rule in union intersect vote ds; do
+        ./build/tools/adiv_loadgen \
+            --model "$smoke_dir/stide.adiv,$smoke_dir/markov.adiv" \
+            --target "stide/6+markov/6;fuse=$rule" \
+            --sweep-shards 1,2 --sweep-jobs 0,1 \
+            --sessions 4 --events 6000 --verify > "$smoke_dir/sweep.log"
+        [ "$(grep -c '(verified bit-identical)' "$smoke_dir/sweep.log")" -eq 4 ] || {
+            echo "ensemble smoke: fuse=$rule sweep did not verify at every point" >&2
+            exit 1
+        }
+    done
     rm -rf "$smoke_dir"
     trap - EXIT
 fi
