@@ -8,6 +8,23 @@
 #include "util/text_serial.hpp"
 
 namespace adiv {
+namespace {
+
+/// a * b, or a DataError when the model file's sizes overflow it.
+std::size_t checked_product(std::size_t a, std::size_t b) {
+    std::size_t out = 0;
+    require_data(!__builtin_mul_overflow(a, b, &out), "model sizes overflow");
+    return out;
+}
+
+/// a + b, or a DataError when the model file's sizes overflow it.
+std::size_t checked_sum(std::size_t a, std::size_t b) {
+    std::size_t out = 0;
+    require_data(!__builtin_add_overflow(a, b, &out), "model sizes overflow");
+    return out;
+}
+
+}  // namespace
 
 NnDetector::NnDetector(std::size_t window_length, NnDetectorConfig config)
     : window_length_(window_length), config_(config) {
@@ -122,18 +139,32 @@ NnDetector NnDetector::load_model(std::istream& in) {
     detector.codec_ = NgramCodec(alphabet);
     detector.training_loss_ = read_double(in, "training loss");
 
+    // Read the parameters before sizing anything from the header: the vector
+    // grows only as numbers arrive, so a huge count or layer size in a short
+    // file ends in a DataError, not an allocation of that size.
+    const std::size_t param_count = read_size(in, "parameter count");
+    std::vector<double> params;
+    for (std::size_t i = 0; i < param_count; ++i)
+        params.push_back(read_double(in, "parameter"));
+
+    // Weights and biases of the input->hidden and hidden->output layers.
+    const std::size_t inputs = checked_product(window - 1, alphabet);
+    const std::size_t hidden = config.hidden_units;
+    const std::size_t expected =
+        checked_sum(checked_sum(checked_product(inputs, hidden), hidden),
+                    checked_sum(checked_product(hidden, alphabet), alphabet));
+    require_data(expected == param_count,
+                 "parameter count " + std::to_string(param_count) +
+                     " does not match the network shape (" + std::to_string(expected) +
+                     ")");
+
     MlpConfig net_config;
-    net_config.layer_sizes = {one_hot_size(window - 1, alphabet),
-                              config.hidden_units, alphabet};
+    net_config.layer_sizes = {inputs, hidden, alphabet};
     net_config.learning_rate = config.learning_rate;
     net_config.momentum = config.momentum;
     net_config.init_scale = config.init_scale;
     net_config.seed = config.seed;
     detector.net_.emplace(net_config);
-
-    const std::size_t param_count = read_size(in, "parameter count");
-    std::vector<double> params(param_count);
-    for (double& p : params) p = read_double(in, "parameter");
     detector.net_->set_parameters(params);
     return detector;
 }

@@ -9,11 +9,6 @@ Matrix::Matrix(std::size_t rows, std::size_t cols, double fill)
     ADIV_REQUIRE(rows > 0 && cols > 0, "matrix dimensions must be positive");
 }
 
-void Matrix::randomize(Rng& rng, double scale) {
-    ADIV_REQUIRE(scale >= 0.0, "randomize scale must be non-negative");
-    for (double& v : data_) v = rng.uniform(-scale, scale);
-}
-
 void Matrix::multiply(std::span<const double> x, std::span<double> y) const {
     ADIV_REQUIRE(x.size() == cols_ && y.size() == rows_,
                  "matrix multiply shape mismatch");
@@ -25,20 +20,6 @@ void Matrix::multiply(std::span<const double> x, std::span<double> y) const {
     }
 }
 
-void Matrix::multiply_sparse(std::span<const double> x,
-                             std::span<const std::size_t> nonzero,
-                             std::span<double> y) const {
-    ADIV_REQUIRE(x.size() == cols_ && y.size() == rows_,
-                 "matrix multiply shape mismatch");
-    ADIV_ASSERT(nonzero.empty() || nonzero.back() < cols_);
-    for (std::size_t r = 0; r < rows_; ++r) {
-        double acc = 0.0;
-        const double* w = &data_[r * cols_];
-        for (std::size_t c : nonzero) acc += w[c] * x[c];
-        y[r] = acc;
-    }
-}
-
 void Matrix::multiply_transposed(std::span<const double> x,
                                  std::span<double> y) const {
     ADIV_REQUIRE(x.size() == rows_ && y.size() == cols_,
@@ -46,16 +27,23 @@ void Matrix::multiply_transposed(std::span<const double> x,
     for (std::size_t c = 0; c < cols_; ++c) y[c] = 0.0;
     for (std::size_t r = 0; r < rows_; ++r) {
         const double xr = x[r];
-        if (xr == 0.0) continue;
         const double* w = &data_[r * cols_];
         for (std::size_t c = 0; c < cols_; ++c) y[c] += w[c] * xr;
     }
 }
 
-void Matrix::add_scaled(const Matrix& other, double alpha) {
-    ADIV_REQUIRE(rows_ == other.rows_ && cols_ == other.cols_,
-                 "matrix add shape mismatch");
-    for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += alpha * other.data_[i];
+void Matrix::multiply_transposed_sparse(std::span<const double> x,
+                                        std::span<const std::size_t> nonzero,
+                                        std::span<double> y) const {
+    ADIV_REQUIRE(x.size() == rows_ && y.size() == cols_,
+                 "matrix transposed-multiply shape mismatch");
+    ADIV_ASSERT(nonzero.empty() || nonzero.back() < rows_);
+    for (std::size_t c = 0; c < cols_; ++c) y[c] = 0.0;
+    for (std::size_t r : nonzero) {
+        const double xr = x[r];
+        const double* w = &data_[r * cols_];
+        for (std::size_t c = 0; c < cols_; ++c) y[c] += w[c] * xr;
+    }
 }
 
 }  // namespace adiv

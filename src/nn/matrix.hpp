@@ -7,8 +7,6 @@
 #include <span>
 #include <vector>
 
-#include "util/rng.hpp"
-
 namespace adiv {
 
 class Matrix {
@@ -40,25 +38,20 @@ public:
         for (double& v : data_) v = value;
     }
 
-    /// Fills with uniform values in [-scale, scale]; used for weight init.
-    void randomize(Rng& rng, double scale);
-
     /// y = W x (y sized rows()). Requires x.size() == cols().
     void multiply(std::span<const double> x, std::span<double> y) const;
 
-    /// y = W x where x is zero outside `nonzero`, its ascending column list
-    /// (y sized rows()). Bit-identical to multiply(): each row sum starts at
-    /// +0.0, and a skipped zero column only adds a +-0 term, which leaves a
-    /// sum that started at +0.0 unchanged (given finite weights).
-    void multiply_sparse(std::span<const double> x,
-                         std::span<const std::size_t> nonzero,
-                         std::span<double> y) const;
-
-    /// y = W^T x (y sized cols()). Requires x.size() == rows().
+    /// y = W^T x (y sized cols()). Requires x.size() == rows(). Each output
+    /// starts at +0.0 and adds its row terms in ascending row order.
     void multiply_transposed(std::span<const double> x, std::span<double> y) const;
 
-    /// this += alpha * other. Requires identical shape.
-    void add_scaled(const Matrix& other, double alpha);
+    /// y = W^T x where x is zero outside `nonzero`, its ascending row list
+    /// (y sized cols()). Bit-identical to multiply_transposed(): each output
+    /// starts at +0.0, and a skipped zero row only adds a +-0 term, which
+    /// leaves a sum that started at +0.0 unchanged (given finite weights).
+    void multiply_transposed_sparse(std::span<const double> x,
+                                    std::span<const std::size_t> nonzero,
+                                    std::span<double> y) const;
 
 private:
     std::size_t rows_ = 0;

@@ -20,6 +20,12 @@ void softmax_inplace(std::span<double> logits) {
 
 namespace {
 double sigmoid(double x) noexcept { return 1.0 / (1.0 + std::exp(-x)); }
+
+/// Appends the input's nonzero columns, ascending.
+void append_nonzero(std::span<const double> input, std::vector<std::size_t>& out) {
+    for (std::size_t c = 0; c < input.size(); ++c)
+        if (input[c] != 0.0) out.push_back(c);
+}
 }  // namespace
 
 Mlp::Mlp(MlpConfig config) : config_(std::move(config)) {
@@ -30,6 +36,7 @@ Mlp::Mlp(MlpConfig config) : config_(std::move(config)) {
     ADIV_REQUIRE(config_.learning_rate > 0.0, "learning rate must be positive");
     ADIV_REQUIRE(config_.momentum >= 0.0 && config_.momentum < 1.0,
                  "momentum must be in [0,1)");
+    ADIV_REQUIRE(config_.init_scale >= 0.0, "init scale must be non-negative");
 
     Rng rng(config_.seed);
     layers_.reserve(config_.layer_sizes.size() - 1);
@@ -37,11 +44,17 @@ Mlp::Mlp(MlpConfig config) : config_(std::move(config)) {
         Layer layer;
         const std::size_t in = config_.layer_sizes[i];
         const std::size_t out = config_.layer_sizes[i + 1];
-        layer.weights = Matrix(out, in);
-        layer.weights.randomize(rng, config_.init_scale);
+        layer.weights = Matrix(in, out);
+        // Drawn unit by unit, in parameters() order.
+        for (std::size_t r = 0; r < out; ++r)
+            for (std::size_t c = 0; c < in; ++c)
+                layer.weights.at(c, r) =
+                    rng.uniform(-config_.init_scale, config_.init_scale);
         layer.bias.assign(out, 0.0);
-        layer.weight_velocity = Matrix(out, in);
+        layer.weight_velocity = Matrix(in, out);
         layer.bias_velocity.assign(out, 0.0);
+        layer.weight_grad = Matrix(in, out);
+        layer.bias_grad.assign(out, 0.0);
         layers_.push_back(std::move(layer));
     }
 }
@@ -60,18 +73,56 @@ struct Mlp::Workspace {
     std::vector<std::vector<double>> outputs;  ///< outputs[i]: activation of layer i
 };
 
-void Mlp::forward_internal(std::span<const double> input, Workspace& ws) const {
+struct Mlp::TrainScratch {
+    /// Checks every sample against the network, then builds the scratch.
+    TrainScratch(const Mlp& net, std::span<const MlpSample> batch) : ws(net) {
+        ADIV_REQUIRE(!batch.empty(), "training over empty batch");
+        for (const MlpSample& sample : batch) {
+            ADIV_REQUIRE(sample.input.size() == net.input_size(),
+                         "sample input size mismatch");
+            ADIV_REQUIRE(sample.target.size() == net.output_size(),
+                         "sample target size mismatch");
+            ADIV_REQUIRE(sample.weight > 0.0, "sample weight must be positive");
+        }
+        // Count first, so the column list is one exact allocation.
+        offsets.reserve(batch.size() + 1);
+        offsets.push_back(0);
+        for (const MlpSample& sample : batch)
+            offsets.push_back(offsets.back() +
+                              static_cast<std::size_t>(std::count_if(
+                                  sample.input.begin(), sample.input.end(),
+                                  [](double v) { return v != 0.0; })));
+        columns.reserve(offsets.back());
+        for (const MlpSample& sample : batch) append_nonzero(sample.input, columns);
+        // Deltas are never input-sized: backpropagation stops at the first layer.
+        const auto& sizes = net.config_.layer_sizes;
+        const std::size_t widest = *std::max_element(sizes.begin() + 1, sizes.end());
+        delta.resize(widest);
+        prev.resize(widest);
+    }
+
+    [[nodiscard]] std::span<const std::size_t> nonzero(std::size_t sample) const {
+        return std::span<const std::size_t>(columns).subspan(
+            offsets[sample], offsets[sample + 1] - offsets[sample]);
+    }
+
+    std::vector<std::size_t> offsets;  ///< sample i's columns: [offsets[i], offsets[i+1])
+    std::vector<std::size_t> columns;  ///< every sample's nonzero input columns
+    Workspace ws;
+    std::vector<double> delta;
+    std::vector<double> prev;
+};
+
+void Mlp::forward_internal(std::span<const double> input,
+                           std::span<const std::size_t> nonzero, Workspace& ws) const {
     ADIV_ASSERT(input.size() == input_size());
-    ws.nonzero.clear();
-    for (std::size_t c = 0; c < input.size(); ++c)
-        if (input[c] != 0.0) ws.nonzero.push_back(c);
     for (std::size_t i = 0; i < layers_.size(); ++i) {
         const Layer& layer = layers_[i];
         const std::span<double> z = ws.outputs[i];
         if (i == 0)
-            layer.weights.multiply_sparse(input, ws.nonzero, z);
+            layer.weights.multiply_transposed_sparse(input, nonzero, z);
         else
-            layer.weights.multiply(ws.outputs[i - 1], z);
+            layer.weights.multiply_transposed(ws.outputs[i - 1], z);
         for (std::size_t r = 0; r < z.size(); ++r) z[r] += layer.bias[r];
         if (i + 1 == layers_.size()) {
             softmax_inplace(z);
@@ -84,7 +135,8 @@ void Mlp::forward_internal(std::span<const double> input, Workspace& ws) const {
 std::vector<double> Mlp::forward(std::span<const double> input) const {
     ADIV_REQUIRE(input.size() == input_size(), "input size mismatch");
     Workspace ws(*this);
-    forward_internal(input, ws);
+    append_nonzero(input, ws.nonzero);
+    forward_internal(input, ws.nonzero, ws);
     return std::move(ws.outputs.back());
 }
 
@@ -95,7 +147,9 @@ double Mlp::loss(std::span<const MlpSample> batch) const {
     double total_loss = 0.0;
     for (const MlpSample& sample : batch) {
         ADIV_REQUIRE(sample.input.size() == input_size(), "input size mismatch");
-        forward_internal(sample.input, ws);
+        ws.nonzero.clear();
+        append_nonzero(sample.input, ws.nonzero);
+        forward_internal(sample.input, ws.nonzero, ws);
         const std::vector<double>& y = ws.outputs.back();
         double ce = 0.0;
         for (std::size_t c = 0; c < y.size(); ++c) {
@@ -108,35 +162,19 @@ double Mlp::loss(std::span<const MlpSample> batch) const {
     return total_loss / total_weight;
 }
 
-double Mlp::train_epoch(std::span<const MlpSample> batch) {
-    ADIV_REQUIRE(!batch.empty(), "training over empty batch");
-    for (const MlpSample& sample : batch) {
-        ADIV_REQUIRE(sample.input.size() == input_size(), "sample input size mismatch");
-        ADIV_REQUIRE(sample.target.size() == output_size(),
-                     "sample target size mismatch");
-        ADIV_REQUIRE(sample.weight > 0.0, "sample weight must be positive");
+double Mlp::step(std::span<const MlpSample> batch, TrainScratch& scratch) {
+    for (Layer& layer : layers_) {
+        layer.weight_grad.fill(0.0);
+        std::fill(layer.bias_grad.begin(), layer.bias_grad.end(), 0.0);
     }
 
-    std::vector<Matrix> weight_grads;
-    std::vector<std::vector<double>> bias_grads;
-    weight_grads.reserve(layers_.size());
-    bias_grads.reserve(layers_.size());
-    for (const Layer& layer : layers_) {
-        weight_grads.emplace_back(layer.weights.rows(), layer.weights.cols());
-        bias_grads.emplace_back(layer.bias.size(), 0.0);
-    }
-
-    Workspace ws(*this);
-    // Deltas are never input-sized: backpropagation stops at the first layer.
-    const std::size_t widest =
-        *std::max_element(config_.layer_sizes.begin() + 1, config_.layer_sizes.end());
-    std::vector<double> delta_buf(widest);
-    std::vector<double> prev_buf(widest);
-
+    Workspace& ws = scratch.ws;
     double total_weight = 0.0;
     double total_loss = 0.0;
-    for (const MlpSample& sample : batch) {
-        forward_internal(sample.input, ws);
+    for (std::size_t s = 0; s < batch.size(); ++s) {
+        const MlpSample& sample = batch[s];
+        const std::span<const std::size_t> nonzero = scratch.nonzero(s);
+        forward_internal(sample.input, nonzero, ws);
         const std::vector<double>& y = ws.outputs.back();
         for (std::size_t c = 0; c < y.size(); ++c)
             if (sample.target[c] > 0.0)
@@ -145,71 +183,75 @@ double Mlp::train_epoch(std::span<const MlpSample> batch) {
         total_weight += sample.weight;
 
         // Softmax + cross-entropy: output delta is (y - t), scaled by weight.
-        std::span<double> delta(delta_buf.data(), y.size());
+        std::span<double> delta(scratch.delta.data(), y.size());
         for (std::size_t c = 0; c < y.size(); ++c)
             delta[c] = sample.weight * (y[c] - sample.target[c]);
 
-        for (std::size_t li = layers_.size() - 1; li > 0; --li) {
-            const std::vector<double>& in_act = ws.outputs[li - 1];
-            Matrix& wg = weight_grads[li];
-            std::vector<double>& bg = bias_grads[li];
-            for (std::size_t r = 0; r < delta.size(); ++r) {
-                const double d = delta[r];
-                if (d == 0.0) continue;
-                auto row = wg.row(r);
-                for (std::size_t c = 0; c < in_act.size(); ++c)
-                    row[c] += d * in_act[c];
-                bg[r] += d;
+        // Every gradient entry starts at +0.0, so the zero terms a zero delta
+        // or a zero input would add leave it unchanged (DESIGN section 13):
+        // the first layer visits only the nonzero input columns, and no loop
+        // tests a delta for zero.
+        for (std::size_t li = layers_.size(); li-- > 0;) {
+            Layer& layer = layers_[li];
+            const std::span<const double> in_act =
+                li == 0 ? std::span<const double>(sample.input) : ws.outputs[li - 1];
+            const auto add_gradient = [&](std::size_t c) {
+                const double x = in_act[c];
+                const std::span<double> g = layer.weight_grad.row(c);
+                for (std::size_t r = 0; r < delta.size(); ++r) g[r] += delta[r] * x;
+            };
+            if (li == 0) {
+                for (std::size_t c : nonzero) add_gradient(c);
+            } else {
+                for (std::size_t c = 0; c < in_act.size(); ++c) add_gradient(c);
             }
-            const std::span<double> prev_delta(prev_buf.data(), in_act.size());
-            layers_[li].weights.multiply_transposed(delta, prev_delta);
-            for (std::size_t c = 0; c < prev_delta.size(); ++c)
-                prev_delta[c] *= in_act[c] * (1.0 - in_act[c]);  // sigmoid'
-            std::swap(delta_buf, prev_buf);
-            delta = std::span<double>(delta_buf.data(), in_act.size());
-        }
+            for (std::size_t r = 0; r < delta.size(); ++r) layer.bias_grad[r] += delta[r];
+            if (li == 0) break;
 
-        // First layer: a zero input column adds only +-0 to its gradient
-        // entries, so visiting the nonzero columns leaves every sum unchanged.
-        const std::span<const double> input = sample.input;
-        for (std::size_t r = 0; r < delta.size(); ++r) {
-            const double d = delta[r];
-            if (d == 0.0) continue;
-            auto row = weight_grads[0].row(r);
-            for (std::size_t c : ws.nonzero) row[c] += d * input[c];
-            bias_grads[0][r] += d;
+            const std::span<double> prev(scratch.prev.data(), in_act.size());
+            layer.weights.multiply(delta, prev);
+            for (std::size_t c = 0; c < prev.size(); ++c)
+                prev[c] *= in_act[c] * (1.0 - in_act[c]);  // sigmoid'
+            std::swap(scratch.delta, scratch.prev);
+            delta = std::span<double>(scratch.delta.data(), in_act.size());
         }
     }
 
-    const double step = config_.learning_rate / total_weight;
-    for (std::size_t li = 0; li < layers_.size(); ++li) {
-        Layer& layer = layers_[li];
+    const double rate = config_.learning_rate / total_weight;
+    for (Layer& layer : layers_) {
         auto vel = layer.weight_velocity.flat();
-        auto grad = weight_grads[li].flat();
+        auto grad = layer.weight_grad.flat();
         auto w = layer.weights.flat();
         for (std::size_t i = 0; i < vel.size(); ++i) {
-            vel[i] = config_.momentum * vel[i] - step * grad[i];
+            vel[i] = config_.momentum * vel[i] - rate * grad[i];
             w[i] += vel[i];
         }
         for (std::size_t r = 0; r < layer.bias.size(); ++r) {
             layer.bias_velocity[r] =
-                config_.momentum * layer.bias_velocity[r] - step * bias_grads[li][r];
+                config_.momentum * layer.bias_velocity[r] - rate * layer.bias_grad[r];
             layer.bias[r] += layer.bias_velocity[r];
         }
     }
     return total_loss / total_weight;
 }
 
+double Mlp::train_epoch(std::span<const MlpSample> batch) {
+    TrainScratch scratch(*this, batch);
+    return step(batch, scratch);
+}
+
 double Mlp::train(std::span<const MlpSample> batch, std::size_t epochs) {
-    for (std::size_t e = 0; e < epochs; ++e) train_epoch(batch);
+    TrainScratch scratch(*this, batch);
+    for (std::size_t e = 0; e < epochs; ++e) step(batch, scratch);
     return loss(batch);
 }
 
 std::vector<double> Mlp::parameters() const {
     std::vector<double> out;
     for (const Layer& layer : layers_) {
-        const auto flat = layer.weights.flat();
-        out.insert(out.end(), flat.begin(), flat.end());
+        const Matrix& w = layer.weights;
+        for (std::size_t r = 0; r < w.cols(); ++r)
+            for (std::size_t c = 0; c < w.rows(); ++c) out.push_back(w.at(c, r));
         out.insert(out.end(), layer.bias.begin(), layer.bias.end());
     }
     return out;
@@ -218,13 +260,11 @@ std::vector<double> Mlp::parameters() const {
 void Mlp::set_parameters(std::span<const double> params) {
     std::size_t offset = 0;
     for (Layer& layer : layers_) {
-        auto flat = layer.weights.flat();
-        ADIV_REQUIRE(offset + flat.size() + layer.bias.size() <= params.size(),
+        Matrix& w = layer.weights;
+        ADIV_REQUIRE(offset + w.flat().size() + layer.bias.size() <= params.size(),
                      "parameter vector too short");
-        std::copy(params.begin() + static_cast<std::ptrdiff_t>(offset),
-                  params.begin() + static_cast<std::ptrdiff_t>(offset + flat.size()),
-                  flat.begin());
-        offset += flat.size();
+        for (std::size_t r = 0; r < w.cols(); ++r)
+            for (std::size_t c = 0; c < w.rows(); ++c) w.at(c, r) = params[offset++];
         std::copy(params.begin() + static_cast<std::ptrdiff_t>(offset),
                   params.begin() +
                       static_cast<std::ptrdiff_t>(offset + layer.bias.size()),

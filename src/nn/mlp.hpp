@@ -56,27 +56,43 @@ public:
     /// One full-batch gradient step with momentum; returns the pre-step loss.
     double train_epoch(std::span<const MlpSample> batch);
 
-    /// Runs `epochs` epochs; returns the final loss().
+    /// Runs `epochs` epochs; returns the final loss(). Weights end exactly
+    /// as after `epochs` train_epoch calls.
     double train(std::span<const MlpSample> batch, std::size_t epochs);
 
-    /// Flattened weights (for gradient checking and tests).
+    /// Flattened weights (for gradient checking and tests): per layer, the
+    /// weights row by row (one row per output unit), then the biases.
     [[nodiscard]] std::vector<double> parameters() const;
     void set_parameters(std::span<const double> params);
 
 private:
+    // Weights, velocities and gradients are stored input-major (in x out):
+    // row c holds input c's weight to every unit, so the products and the
+    // gradient updates for one input column run over contiguous doubles.
     struct Layer {
-        Matrix weights;        // out x in
+        Matrix weights;
         std::vector<double> bias;
         Matrix weight_velocity;
         std::vector<double> bias_velocity;
+        Matrix weight_grad;
+        std::vector<double> bias_grad;
     };
 
-    /// Per-call scratch for forward/backward passes (defined in mlp.cpp).
+    /// Per-call scratch for forward passes (defined in mlp.cpp).
     struct Workspace;
+    /// Per-call scratch for training, built once from a checked batch: every
+    /// sample's nonzero input columns, a Workspace and the delta buffers
+    /// (defined in mlp.cpp).
+    struct TrainScratch;
 
-    /// Fills ws with the activation of every layer for one input; the first
-    /// layer's product visits only the input's nonzero columns.
-    void forward_internal(std::span<const double> input, Workspace& ws) const;
+    /// Fills ws with the activation of every layer for one input whose
+    /// nonzero columns are `nonzero` (ascending); the first layer's product
+    /// visits only those columns.
+    void forward_internal(std::span<const double> input,
+                          std::span<const std::size_t> nonzero, Workspace& ws) const;
+
+    /// One full-batch step; returns the pre-step loss.
+    double step(std::span<const MlpSample> batch, TrainScratch& scratch);
 
     MlpConfig config_;
     std::vector<Layer> layers_;

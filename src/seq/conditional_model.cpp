@@ -16,16 +16,18 @@ ConditionalModel::ConditionalModel(const EventStream& train, std::size_t context
     require_data(train.size() >= context_length + 1,
                  "training stream shorter than one context+continuation window");
 
-    const SymbolView all = train.view();
-    const NgramKey mask = codec_.mask_for(context_length_);
-    NgramKey key = codec_.encode(all.subspan(0, context_length_));
-    for (std::size_t pos = context_length_; pos < all.size(); ++pos) {
-        Entry& entry = by_context_[key];
+    // Each (k+1)-window is a context (its first k symbols, the high bits of
+    // its key) followed by the next symbol (the low bits).
+    const NgramTable windows = NgramTable::from_stream(train, context_length_ + 1);
+    const unsigned bits = codec_.bits_per_symbol();
+    const NgramKey symbol_mask = (NgramKey{1} << bits) - 1;
+    by_context_.reserve(windows.distinct());
+    windows.for_each([&](NgramKey key, std::uint64_t count) {
+        Entry& entry = by_context_[key >> bits];
         if (entry.next_counts.empty()) entry.next_counts.assign(alphabet_size_, 0);
-        ++entry.next_counts[all[pos]];
-        ++entry.total;
-        key = codec_.slide(key, all[pos], mask);
-    }
+        entry.next_counts[static_cast<std::size_t>(key & symbol_mask)] += count;
+        entry.total += count;
+    });
 }
 
 ConditionalModel::ConditionalModel(

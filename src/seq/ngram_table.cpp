@@ -5,9 +5,12 @@
 #include "util/error.hpp"
 
 namespace adiv {
+namespace {
+constexpr std::size_t kInitialSlots = 16;
+}  // namespace
 
 NgramTable::NgramTable(std::size_t alphabet_size, std::size_t length)
-    : codec_(alphabet_size), length_(length) {
+    : codec_(alphabet_size), length_(length), slots_(kInitialSlots) {
     require(length > 0, "n-gram length must be positive");
     require(length <= codec_.max_length(),
             "n-gram length " + std::to_string(length) + " exceeds codec capacity " +
@@ -21,6 +24,29 @@ NgramTable NgramTable::from_stream(const EventStream& stream, std::size_t length
     return table;
 }
 
+std::size_t NgramTable::find_slot(NgramKey key) const noexcept {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = NgramKeyHash{}(key) & mask;
+    while (slots_[i].count != 0 && slots_[i].key != key) i = (i + 1) & mask;
+    return i;
+}
+
+void NgramTable::add_key(NgramKey key, std::uint64_t count) {
+    std::size_t i = find_slot(key);
+    if (slots_[i].count == 0) {
+        if (2 * (distinct_ + 1) > slots_.size()) {
+            std::vector<Slot> old(2 * slots_.size());
+            old.swap(slots_);
+            for (const Slot& slot : old)
+                if (slot.count != 0) slots_[find_slot(slot.key)] = slot;
+            i = find_slot(key);
+        }
+        slots_[i].key = key;
+        ++distinct_;
+    }
+    slots_[i].count += count;
+}
+
 void NgramTable::add_stream(const EventStream& stream) {
     require(stream.alphabet_size() == codec_.alphabet_size(),
             "stream alphabet does not match table alphabet");
@@ -28,17 +54,18 @@ void NgramTable::add_stream(const EventStream& stream) {
     const SymbolView all = stream.view();
     const NgramKey mask = codec_.mask_for(length_);
     NgramKey key = codec_.encode(all.subspan(0, length_));
-    ++counts_[key];
+    add_key(key, 1);
     for (std::size_t pos = length_; pos < all.size(); ++pos) {
         key = codec_.slide(key, all[pos], mask);
-        ++counts_[key];
+        add_key(key, 1);
     }
     total_ += all.size() - length_ + 1;
 }
 
 void NgramTable::add(SymbolView gram, std::uint64_t count) {
     require(gram.size() == length_, "gram length does not match table length");
-    counts_[codec_.encode(gram)] += count;
+    if (count == 0) throw DataError("n-gram count must be positive");
+    add_key(codec_.encode(gram), count);
     total_ += count;
 }
 
@@ -48,8 +75,7 @@ std::uint64_t NgramTable::count(SymbolView gram) const {
 }
 
 std::uint64_t NgramTable::count_key(NgramKey key) const {
-    const auto it = counts_.find(key);
-    return it == counts_.end() ? 0 : it->second;
+    return slots_[find_slot(key)].count;  // the empty slot counts 0
 }
 
 double NgramTable::relative_frequency(SymbolView gram) const {
@@ -65,14 +91,14 @@ double NgramTable::relative_frequency_key(NgramKey key) const {
 
 void NgramTable::for_each(
     const std::function<void(NgramKey, std::uint64_t)>& fn) const {
-    // Callback order is unspecified (documented in the header); callers fold
-    // commutatively. Order-sensitive consumers use items_by_count().
-    // adiv-lint: allow(unordered-iteration, "callback order is documented unspecified; callers fold commutatively")
-    for (const auto& [key, count] : counts_) fn(key, count);
+    for (const Slot& slot : slots_)
+        if (slot.count != 0) fn(slot.key, slot.count);
 }
 
 std::vector<std::pair<Sequence, std::uint64_t>> NgramTable::items_by_count() const {
-    std::vector<std::pair<NgramKey, std::uint64_t>> keyed(counts_.begin(), counts_.end());
+    std::vector<std::pair<NgramKey, std::uint64_t>> keyed;
+    keyed.reserve(distinct_);
+    for_each([&](NgramKey key, std::uint64_t count) { keyed.emplace_back(key, count); });
     std::sort(keyed.begin(), keyed.end(), [](const auto& a, const auto& b) {
         if (a.second != b.second) return a.second > b.second;
         return a.first < b.first;

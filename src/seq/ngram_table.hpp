@@ -4,13 +4,18 @@
 // anomaly machinery: Stide asks membership, the Markov and NN detectors ask
 // conditional counts, the MFS builder asks rarity, and the injector asks
 // whether boundary windows are common. One table holds counts for a single
-// window length n; conditional probabilities combine an n-table with an
-// (n-1)-table (see ConditionalModel).
+// window length n. It is the one loop that counts the windows of a training
+// stream: Stide, t-Stide and L&B count theirs here, and ConditionalModel
+// (Markov, NN, rule learner) splits the (k+1)-windows counted here into a
+// context and a next symbol.
+//
+// The counts live in an open-addressing table (power-of-two capacity, linear
+// probing, at most half full); a zero count marks an empty slot, so every
+// stored window has a positive count.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "seq/ngram.hpp"
@@ -37,7 +42,8 @@ public:
     void add_stream(const EventStream& stream);
 
     /// Adds a single occurrence (or `count` occurrences) of one window.
-    /// Requires gram.size() == length().
+    /// Requires gram.size() == length(). A zero count is malformed data (it
+    /// comes from a model file) and throws DataError.
     void add(SymbolView gram, std::uint64_t count = 1);
 
     /// Occurrences of the window; 0 when absent.
@@ -51,7 +57,7 @@ public:
     [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
 
     /// Number of distinct windows seen.
-    [[nodiscard]] std::size_t distinct() const noexcept { return counts_.size(); }
+    [[nodiscard]] std::size_t distinct() const noexcept { return distinct_; }
 
     /// count(gram) / total(); 0 when the table is empty.
     [[nodiscard]] double relative_frequency(SymbolView gram) const;
@@ -66,10 +72,21 @@ public:
     [[nodiscard]] std::vector<std::pair<Sequence, std::uint64_t>> items_by_count() const;
 
 private:
+    struct Slot {
+        NgramKey key = 0;
+        std::uint64_t count = 0;  ///< 0 marks an empty slot
+    };
+
+    /// Index of the slot holding `key`, or of the empty slot where it belongs.
+    [[nodiscard]] std::size_t find_slot(NgramKey key) const noexcept;
+    /// Adds `count` (> 0) occurrences of `key`, growing the table as needed.
+    void add_key(NgramKey key, std::uint64_t count);
+
     NgramCodec codec_;
     std::size_t length_;
     std::uint64_t total_ = 0;
-    std::unordered_map<NgramKey, std::uint64_t, NgramKeyHash> counts_;
+    std::size_t distinct_ = 0;
+    std::vector<Slot> slots_;  ///< power-of-two size, at most half full
 };
 
 }  // namespace adiv

@@ -7,6 +7,8 @@
 #include <cstring>
 #include <limits>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/online.hpp"
 #include "support/corpus_fixture.hpp"
@@ -214,6 +216,53 @@ TEST(ModelIo, RejectsNegativeSizes) {
     EXPECT_THROW((void)load_detector(window), DataError);
     std::istringstream count("adiv-model 1 stide 3 4 2 0 1 2 -5 1 2 3 4");
     EXPECT_THROW((void)load_detector(count), DataError);
+}
+
+/// A saved DW-2 neural-net model whose header field `field` (0 = window,
+/// 2 = hidden units, 10 = parameter count) reads `value`.
+std::string nn_model_with_header_field(std::size_t field, const std::string& value) {
+    DetectorSettings settings;
+    settings.nn.epochs = 5;
+    auto nn = make_detector(DetectorKind::NeuralNet, 2, settings);
+    nn->train(test::small_corpus().training());
+    std::ostringstream out;
+    save_detector(*nn, out);
+    std::istringstream saved(out.str());
+    std::string envelope;
+    std::string header;
+    std::getline(saved, envelope);
+    std::getline(saved, header);
+    std::istringstream header_in(header);
+    std::vector<std::string> fields;
+    for (std::string token; header_in >> token;) fields.push_back(token);
+    fields.at(field) = value;
+    std::string text = envelope + '\n';
+    for (const std::string& token : fields) text += token + ' ';
+    text += '\n';
+    for (std::string line; std::getline(saved, line);) text += line + '\n';
+    return text;
+}
+
+TEST(ModelIo, RejectsMaximalNnParameterCount) {
+    // Must not size a vector from the count before reading the parameters.
+    std::istringstream in(nn_model_with_header_field(10, "18446744073709551615"));
+    EXPECT_THROW((void)load_detector(in), DataError);
+}
+
+TEST(ModelIo, RejectsNnHiddenUnitsBeyondItsParameters) {
+    // Must not size the network from the header before checking the
+    // parameter count against it.
+    std::istringstream in(nn_model_with_header_field(2, "1000000000000"));
+    EXPECT_THROW((void)load_detector(in), DataError);
+}
+
+TEST(ModelIo, RejectsZeroGramCount) {
+    // A stored window with count 0 is malformed; it must neither vanish nor
+    // count as a distinct window.
+    std::istringstream stide("adiv-model 1 stide 2 8 2 1 2 3 3 4 0");
+    EXPECT_THROW((void)load_detector(stide), DataError);
+    std::istringstream tstide("adiv-model 1 t-stide 0.005 2 8 1 1 2 0");
+    EXPECT_THROW((void)load_detector(tstide), DataError);
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "util/error.hpp"
 
 namespace adiv {
@@ -67,32 +70,27 @@ TEST(Matrix, MultiplyTransposedComputesVecMat) {
     EXPECT_DOUBLE_EQ(y[2], 15.0);
 }
 
-TEST(Matrix, AddScaledAccumulates) {
-    Matrix a(2, 2, 1.0);
-    const Matrix b(2, 2, 3.0);
-    a.add_scaled(b, 0.5);
-    EXPECT_DOUBLE_EQ(a.at(0, 0), 2.5);
-    EXPECT_DOUBLE_EQ(a.at(1, 1), 2.5);
+TEST(Matrix, MultiplyTransposedSparseMatchesDenseBitForBit) {
+    Matrix m(4, 3);
+    for (std::size_t r = 0; r < 4; ++r)
+        for (std::size_t c = 0; c < 3; ++c)
+            m.at(r, c) = 0.1 * static_cast<double>(r + 1) - 0.37 * static_cast<double>(c);
+    // Rows 1 and 3 are zero, one of them -0.0; the sparse product skips both.
+    const std::vector<double> x{0.3, 0.0, -1.7, -0.0};
+    const std::vector<std::size_t> nonzero{0, 2};
+    std::vector<double> dense(3), sparse(3);
+    m.multiply_transposed(x, dense);
+    m.multiply_transposed_sparse(x, nonzero, sparse);
+    EXPECT_EQ(std::memcmp(dense.data(), sparse.data(), 3 * sizeof(double)), 0);
+    EXPECT_DOUBLE_EQ(sparse[0], 0.3 * 0.1 - 1.7 * 0.3);
 }
 
-TEST(Matrix, AddScaledShapeMismatchThrows) {
-    Matrix a(2, 2);
-    const Matrix b(2, 3);
-    EXPECT_THROW(a.add_scaled(b, 1.0), InvalidArgument);
-}
-
-TEST(Matrix, RandomizeStaysInRangeAndIsDeterministic) {
-    Matrix a(4, 4), b(4, 4);
-    Rng r1(5), r2(5);
-    a.randomize(r1, 0.3);
-    b.randomize(r2, 0.3);
-    for (std::size_t r = 0; r < 4; ++r) {
-        for (std::size_t c = 0; c < 4; ++c) {
-            EXPECT_GE(a.at(r, c), -0.3);
-            EXPECT_LE(a.at(r, c), 0.3);
-            EXPECT_DOUBLE_EQ(a.at(r, c), b.at(r, c));
-        }
-    }
+TEST(Matrix, MultiplyTransposedShapeMismatchThrows) {
+    const Matrix m(2, 3);
+    std::vector<double> x(3), y(3);
+    const std::vector<std::size_t> nonzero{0};
+    EXPECT_THROW(m.multiply_transposed(x, y), InvalidArgument);
+    EXPECT_THROW(m.multiply_transposed_sparse(x, nonzero, y), InvalidArgument);
 }
 
 TEST(Matrix, FillOverwrites) {

@@ -3,9 +3,10 @@
 // Builds into adiv_alloc_budget_tests, whose global operator new counts
 // calls (support/counting_new.hpp).
 //
-// The training gate is scale-free: in steady state one train_epoch call must
-// make the same number of allocations for a batch of N samples as for 4N, so
-// no sample allocates.
+// The training gates are scale-free: in steady state one train_epoch call
+// must make the same number of allocations for a batch of N samples as for
+// 4N, so no sample allocates; and train() must make as many for 8 epochs as
+// for 1, so no epoch allocates.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -66,6 +67,25 @@ TEST(MlpAllocBudget, OneHotEpochAllocationsIndependentOfBatchSize) {
 
 TEST(MlpAllocBudget, DenseEpochAllocationsIndependentOfBatchSize) {
     expect_epoch_allocations_independent_of_batch_size(false);
+}
+
+void expect_train_allocations_independent_of_epochs(bool one_hot) {
+    MlpConfig cfg;
+    cfg.layer_sizes = {14 * 8, 16, 8};
+    Mlp net(cfg);
+    const auto batch = make_batch(64, one_hot, 7);
+    (void)net.train(batch, 1);  // warm-up
+    const std::uint64_t one = allocations_during([&] { (void)net.train(batch, 1); });
+    const std::uint64_t eight = allocations_during([&] { (void)net.train(batch, 8); });
+    EXPECT_EQ(one, eight) << "Mlp::train allocates per epoch";
+}
+
+TEST(MlpAllocBudget, OneHotTrainAllocationsIndependentOfEpochs) {
+    expect_train_allocations_independent_of_epochs(true);
+}
+
+TEST(MlpAllocBudget, DenseTrainAllocationsIndependentOfEpochs) {
+    expect_train_allocations_independent_of_epochs(false);
 }
 
 TEST(MlpAllocBudget, NnPredictOnMemoHitAllocatesAtMostItsResult) {

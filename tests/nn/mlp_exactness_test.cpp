@@ -1,11 +1,12 @@
 // Exactness oracle for the MLP training step.
 //
-// Mlp::train_epoch visits only the nonzero input columns in the first layer
-// and reuses per-call scratch across samples. Both are claimed to leave every
-// trained weight bit-identical to the plain dense step. This file keeps that
-// dense step as a reference and compares raw parameter bytes after training,
-// and pins NnDetector::save_model bytes to digests recorded before the
-// sparse first layer existed.
+// Mlp stores its weights input-major, visits only the nonzero input columns
+// in the first layer, never tests a delta for zero, and reuses per-call
+// scratch across samples and epochs. All of that is claimed to leave every
+// trained weight bit-identical to the plain dense row-major step. This file
+// keeps that dense step as a reference and compares raw parameter bytes after
+// train_epoch and after train(), and pins NnDetector::save_model bytes to
+// digests recorded before the sparse first layer existed.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -215,7 +216,8 @@ void expect_bit_identical_training(InputKind kind, std::vector<std::size_t> size
     DenseReference reference(net);
     const auto batch = make_batch(kind, cfg.layer_sizes.back(), 29);
 
-    for (int epoch = 0; epoch < 50; ++epoch) {
+    constexpr std::size_t kEpochs = 50;
+    for (std::size_t epoch = 0; epoch < kEpochs; ++epoch) {
         const double got = net.train_epoch(batch);
         const double want = reference.train_epoch(batch);
         ASSERT_EQ(std::memcmp(&got, &want, sizeof got), 0) << "loss, epoch " << epoch;
@@ -224,6 +226,15 @@ void expect_bit_identical_training(InputKind kind, std::vector<std::size_t> size
     const std::vector<double> want = reference.parameters();
     ASSERT_EQ(got.size(), want.size());
     EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(double)), 0);
+
+    // train() builds its scratch once for all epochs and must end on the
+    // same bytes.
+    Mlp trained(cfg);
+    (void)trained.train(batch, kEpochs);
+    const std::vector<double> via_train = trained.parameters();
+    ASSERT_EQ(via_train.size(), want.size());
+    EXPECT_EQ(std::memcmp(via_train.data(), want.data(), want.size() * sizeof(double)), 0)
+        << "Mlp::train";
 }
 
 TEST(MlpExactness, OneHotInputsMatchDenseReference) {

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace adiv {
 namespace {
@@ -66,6 +69,29 @@ TEST(Mlp, InvalidHyperparametersThrow) {
     cfg = xor_config();
     cfg.momentum = 1.0;
     EXPECT_THROW(Mlp{cfg}, InvalidArgument);
+    cfg = xor_config();
+    cfg.init_scale = -0.1;
+    EXPECT_THROW(Mlp{cfg}, InvalidArgument);
+}
+
+TEST(Mlp, InitialWeightsAreSeededDrawsInParameterOrder) {
+    // The weights are stored input-major, but the seed's draws fill them in
+    // parameters() order (per layer, unit by unit), then the biases start at 0.
+    MlpConfig cfg;
+    cfg.layer_sizes = {3, 4, 2};
+    cfg.init_scale = 0.3;
+    cfg.seed = 17;
+    const std::vector<double> params = Mlp(cfg).parameters();
+    ASSERT_EQ(params.size(), 3u * 4u + 4u + 4u * 2u + 2u);
+    Rng rng(cfg.seed);
+    std::size_t i = 0;
+    for (const auto& [in, out] : {std::pair<std::size_t, std::size_t>{3, 4}, {4, 2}}) {
+        for (std::size_t w = 0; w < in * out; ++w, ++i) {
+            EXPECT_EQ(params[i], rng.uniform(-cfg.init_scale, cfg.init_scale)) << i;
+            EXPECT_LE(std::abs(params[i]), cfg.init_scale);
+        }
+        for (std::size_t b = 0; b < out; ++b, ++i) EXPECT_EQ(params[i], 0.0) << i;
+    }
 }
 
 TEST(Mlp, WrongInputSizeThrows) {

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <map>
+#include <vector>
+
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace adiv {
 namespace {
@@ -95,6 +101,63 @@ TEST(ConditionalModel, DistributionTotalsSumNextCounts) {
         for (auto c : d.next_counts) sum += c;
         EXPECT_EQ(sum, d.total);
     }
+}
+
+void expect_model_matches_brute_force(std::size_t alphabet, std::size_t k,
+                                      std::size_t length, std::uint64_t seed) {
+    Rng rng(seed);
+    Sequence events(length);
+    for (Symbol& s : events) s = static_cast<Symbol>(rng.below(alphabet));
+    const EventStream stream(alphabet, events);
+    const ConditionalModel model(stream, k);
+
+    // Brute force: every context of k symbols, with the symbol that follows.
+    std::map<Sequence, std::vector<std::uint64_t>> want;
+    for (std::size_t pos = 0; pos + k < length; ++pos) {
+        auto& next = want[Sequence(events.begin() + static_cast<std::ptrdiff_t>(pos),
+                                   events.begin() + static_cast<std::ptrdiff_t>(pos + k))];
+        next.resize(alphabet);
+        ++next[events[pos + k]];
+    }
+
+    ASSERT_EQ(model.distinct_contexts(), want.size());
+    std::vector<ContextDistribution> expected;
+    for (const auto& [context, next] : want) {
+        ContextDistribution dist;
+        dist.context = context;
+        dist.next_counts = next;
+        for (std::uint64_t c : next) dist.total += c;
+        expected.push_back(dist);
+        ASSERT_EQ(model.context_count(context), dist.total);
+        for (Symbol s = 0; s < alphabet; ++s)
+            ASSERT_EQ(model.continuation_count(context, s), next[s]);
+    }
+    // Context keys order contexts lexicographically, so the map's order
+    // breaks ties in total.
+    std::stable_sort(expected.begin(), expected.end(),
+                     [](const auto& a, const auto& b) { return a.total > b.total; });
+    const std::vector<ContextDistribution> got = model.distributions();
+    ASSERT_EQ(got.size(), expected.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].context, expected[i].context) << i;
+        EXPECT_EQ(got[i].next_counts, expected[i].next_counts) << i;
+        EXPECT_EQ(got[i].total, expected[i].total) << i;
+    }
+}
+
+TEST(ConditionalModel, BinaryAlphabetMatchesBruteForce) {
+    expect_model_matches_brute_force(2, 11, 20'000, 7);
+}
+
+TEST(ConditionalModel, PaperAlphabetMatchesBruteForce) {
+    expect_model_matches_brute_force(8, 4, 20'000, 8);
+}
+
+TEST(ConditionalModel, WideKeysMatchBruteForce) {
+    // 8 bits per symbol: contexts of 8 make 9-symbol windows that reach past
+    // the low 64 key bits, and contexts of 15 fill all 128.
+    expect_model_matches_brute_force(256, 8, 4'000, 9);
+    expect_model_matches_brute_force(256, 15, 4'000, 10);
 }
 
 }  // namespace

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <map>
+#include <utility>
+#include <vector>
+
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace adiv {
 namespace {
@@ -101,6 +108,85 @@ TEST(NgramTable, AccumulatesAcrossMultipleStreams) {
     EXPECT_EQ(t.total(), 4u);
     EXPECT_EQ(t.count(Sequence{0, 1}), 2u);
     EXPECT_EQ(t.count(Sequence{1, 0}), 2u);
+}
+
+TEST(NgramTable, AddZeroCountIsDataErrorAndStoresNothing) {
+    // Stide and t-Stide models feed their file counts through add(); a 0
+    // count must neither vanish silently nor become a distinct window.
+    NgramTable t(4, 2);
+    t.add(Sequence{1, 2}, 3);
+    EXPECT_THROW(t.add(Sequence{0, 1}, 0), DataError);
+    EXPECT_THROW(t.add(Sequence{1, 2}, 0), DataError);
+    EXPECT_EQ(t.distinct(), 1u);
+    EXPECT_EQ(t.total(), 3u);
+    EXPECT_EQ(t.count(Sequence{1, 2}), 3u);
+    EXPECT_FALSE(t.contains(Sequence{0, 1}));
+}
+
+EventStream random_stream(std::size_t alphabet, std::size_t length, std::uint64_t seed) {
+    Rng rng(seed);
+    Sequence events(length);
+    for (Symbol& s : events) s = static_cast<Symbol>(rng.below(alphabet));
+    return EventStream(alphabet, std::move(events));
+}
+
+/// Counts every length-n window by brute force, keyed by the window itself.
+std::map<Sequence, std::uint64_t> brute_force_counts(const EventStream& stream,
+                                                     std::size_t n) {
+    std::map<Sequence, std::uint64_t> counts;
+    const SymbolView all = stream.view();
+    for (std::size_t pos = 0; pos + n <= all.size(); ++pos)
+        ++counts[Sequence(all.begin() + static_cast<std::ptrdiff_t>(pos),
+                          all.begin() + static_cast<std::ptrdiff_t>(pos + n))];
+    return counts;
+}
+
+void expect_counts_match_brute_force(std::size_t alphabet, std::size_t n,
+                                     std::size_t length, std::uint64_t seed) {
+    const EventStream stream = random_stream(alphabet, length, seed);
+    const NgramTable table = NgramTable::from_stream(stream, n);
+    const std::map<Sequence, std::uint64_t> want = brute_force_counts(stream, n);
+
+    EXPECT_EQ(table.total(), length - n + 1);
+    ASSERT_EQ(table.distinct(), want.size());
+    for (const auto& [gram, count] : want) ASSERT_EQ(table.count(gram), count);
+
+    std::map<Sequence, std::uint64_t> visited;
+    table.for_each([&](NgramKey key, std::uint64_t count) {
+        EXPECT_TRUE(visited.emplace(table.codec().decode(key, n), count).second);
+    });
+    EXPECT_EQ(visited, want);
+
+    // Keys order windows lexicographically, so the map's order breaks ties.
+    std::vector<std::pair<Sequence, std::uint64_t>> by_count(want.begin(), want.end());
+    std::stable_sort(by_count.begin(), by_count.end(),
+                     [](const auto& a, const auto& b) { return a.second > b.second; });
+    EXPECT_EQ(table.items_by_count(), by_count);
+
+    Rng probe(seed + 1);
+    Sequence gram(n);
+    for (int i = 0; i < 500; ++i) {
+        for (Symbol& s : gram) s = static_cast<Symbol>(probe.below(alphabet));
+        const auto it = want.find(gram);
+        ASSERT_EQ(table.count(gram), it == want.end() ? 0u : it->second);
+    }
+}
+
+// Each case stores thousands of distinct windows, so the table grows from
+// its initial capacity several times.
+TEST(NgramTable, BinaryAlphabetCountsMatchBruteForce) {
+    expect_counts_match_brute_force(2, 12, 20'000, 3);
+}
+
+TEST(NgramTable, PaperAlphabetCountsMatchBruteForce) {
+    expect_counts_match_brute_force(8, 5, 20'000, 4);
+}
+
+TEST(NgramTable, WideKeysCountMatchBruteForce) {
+    // 8 bits per symbol: 9 symbols reach past the low 64 key bits, and 16
+    // fill all 128.
+    expect_counts_match_brute_force(256, 9, 6'000, 5);
+    expect_counts_match_brute_force(256, 16, 6'000, 6);
 }
 
 }  // namespace
