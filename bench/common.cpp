@@ -25,18 +25,14 @@ void add_common_options(CliParser& cli) {
 Context make_context(const CliParser& cli, bool build_suite,
                      const std::string& program) {
     Context ctx;
-    ctx.spec.training_length =
-        static_cast<std::size_t>(cli.get_int("training-length"));
-    ctx.spec.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-    ctx.suite_config.background_length =
-        static_cast<std::size_t>(cli.get_int("background"));
-    ctx.suite_config.min_anomaly_size =
-        static_cast<std::size_t>(cli.get_int("min-anomaly"));
-    ctx.suite_config.max_anomaly_size =
-        static_cast<std::size_t>(cli.get_int("max-anomaly"));
-    ctx.suite_config.min_window = static_cast<std::size_t>(cli.get_int("min-window"));
-    ctx.suite_config.max_window = static_cast<std::size_t>(cli.get_int("max-window"));
-    ctx.jobs = resolve_jobs(static_cast<std::size_t>(cli.get_int("jobs")));
+    ctx.spec.training_length = cli.get_number<std::size_t>("training-length");
+    ctx.spec.seed = cli.get_number<std::uint64_t>("seed");
+    ctx.suite_config.background_length = cli.get_number<std::size_t>("background");
+    ctx.suite_config.min_anomaly_size = cli.get_number<std::size_t>("min-anomaly");
+    ctx.suite_config.max_anomaly_size = cli.get_number<std::size_t>("max-anomaly");
+    ctx.suite_config.min_window = cli.get_number<std::size_t>("min-window");
+    ctx.suite_config.max_window = cli.get_number<std::size_t>("max-window");
+    ctx.jobs = resolve_jobs(cli.get_number<std::size_t>("jobs"));
 
     RunManifest manifest = make_manifest(program);
     manifest.seed = ctx.spec.seed;

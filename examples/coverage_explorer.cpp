@@ -32,19 +32,19 @@ int main(int argc, char** argv) {
     const DetectorKind kind = detector_kind_from_string(cli.get("detector"));
 
     CorpusSpec spec;
-    spec.training_length = static_cast<std::size_t>(cli.get_int("training-length"));
+    spec.training_length = cli.get_number<std::size_t>("training-length");
     const TrainingCorpus corpus = TrainingCorpus::generate(spec);
 
     SuiteConfig cfg;
-    cfg.max_anomaly_size = static_cast<std::size_t>(cli.get_int("max-anomaly"));
-    cfg.max_window = static_cast<std::size_t>(cli.get_int("max-window"));
-    cfg.background_length = static_cast<std::size_t>(cli.get_int("background"));
+    cfg.max_anomaly_size = cli.get_number<std::size_t>("max-anomaly");
+    cfg.max_window = cli.get_number<std::size_t>("max-window");
+    cfg.background_length = cli.get_number<std::size_t>("background");
     const EvaluationSuite suite = EvaluationSuite::build(corpus, cfg);
 
     DetectorSettings settings;
-    settings.markov.probability_floor = cli.get_double("floor");
-    settings.nn.probability_floor = cli.get_double("floor");
-    settings.nn.epochs = static_cast<std::size_t>(cli.get_int("nn-epochs"));
+    settings.markov.probability_floor = cli.get_number<double>("floor");
+    settings.nn.probability_floor = cli.get_number<double>("floor");
+    settings.nn.epochs = cli.get_number<std::size_t>("nn-epochs");
 
     const PerformanceMap map = run_map_experiment(
         suite, to_string(kind), factory_for(kind, settings));

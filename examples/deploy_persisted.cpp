@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
     cli.add_option("window", "6", "detector window (DW)");
     cli.add_option("model", "/tmp/adiv_monitor.adiv", "model file path");
     if (!cli.parse(argc, argv)) return 0;
-    const auto dw = static_cast<std::size_t>(cli.get_int("window"));
+    const auto dw = cli.get_number<std::size_t>("window");
     const std::string model_path = cli.get("model");
 
     const TraceModel model = make_syscall_model();

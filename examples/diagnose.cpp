@@ -57,14 +57,14 @@ int main(int argc, char** argv) {
     if (!cli.parse(argc, argv)) return 0;
 
     CorpusSpec spec;
-    spec.training_length = static_cast<std::size_t>(cli.get_int("training-length"));
+    spec.training_length = cli.get_number<std::size_t>("training-length");
     const TrainingCorpus corpus = TrainingCorpus::generate(spec);
 
     const std::string text = cli.get("manifestation");
     if (!text.empty()) {
         run_one(corpus, detector_kind_from_string(cli.get("detector")),
                 parse_manifestation(text),
-                static_cast<std::size_t>(cli.get_int("window")));
+                cli.get_number<std::size_t>("window"));
         return 0;
     }
 

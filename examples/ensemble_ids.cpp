@@ -24,12 +24,12 @@ int main(int argc, char** argv) {
     cli.add_option("trace-length", "200000", "training trace length");
     cli.add_option("test-length", "20000", "monitored (test) trace length");
     if (!cli.parse(argc, argv)) return 0;
-    const auto dw = static_cast<std::size_t>(cli.get_int("window"));
+    const auto dw = cli.get_number<std::size_t>("window");
 
     // Normal behaviour: the server's syscall trace.
     const TraceModel model = make_syscall_model();
     const EventStream training = model.generate(
-        static_cast<std::size_t>(cli.get_int("trace-length")), /*seed=*/11);
+        cli.get_number<std::size_t>("trace-length"), /*seed=*/11);
     std::printf("training trace: %zu syscalls over %zu distinct calls\n",
                 training.size(), model.alphabet().size());
 
@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
 
     // The monitored stream: fresh normal activity with the attack spliced in.
     EventStream monitored = model.generate(
-        static_cast<std::size_t>(cli.get_int("test-length")), /*seed=*/77);
+        cli.get_number<std::size_t>("test-length"), /*seed=*/77);
     const std::size_t attack_pos = monitored.size() / 2;
     {
         Sequence events = monitored.events();

@@ -22,12 +22,12 @@ int main(int argc, char** argv) {
     cli.add_option("window", "5", "detector window (DW)");
     cli.add_option("trace-length", "150000", "training trace length");
     if (!cli.parse(argc, argv)) return 0;
-    const auto dw = static_cast<std::size_t>(cli.get_int("window"));
+    const auto dw = cli.get_number<std::size_t>("window");
 
     const TraceModel user = make_command_model();
     const Alphabet& commands = user.alphabet();
     const EventStream training = user.generate(
-        static_cast<std::size_t>(cli.get_int("trace-length")), /*seed=*/5);
+        cli.get_number<std::size_t>("trace-length"), /*seed=*/5);
     std::printf("user history: %zu commands over %zu distinct commands\n",
                 training.size(), commands.size());
 

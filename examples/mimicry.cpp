@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
     CliParser cli("mimicry", "a mimicry attack evades every detector");
     cli.add_option("window", "6", "detector window (DW)");
     if (!cli.parse(argc, argv)) return 0;
-    const auto dw = static_cast<std::size_t>(cli.get_int("window"));
+    const auto dw = cli.get_number<std::size_t>("window");
 
     const TraceModel model = make_syscall_model();
     const Alphabet& names = model.alphabet();

@@ -21,23 +21,30 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
     // it before deciding which open path to take.
     const bool looks_ensemble = adiv::fusion::is_ensemble_spec(text);
 
+    adiv::fusion::EnsembleSpec spec;
     try {
-        const adiv::fusion::EnsembleSpec spec =
-            adiv::fusion::parse_ensemble_spec(text);
-        // Anything that parses must have been detectable as an ensemble
-        // spec (members are joined with '+', options with ';').
-        if (!looks_ensemble) __builtin_trap();
-        // Round trip: the canonical rendering is itself a valid spec and a
-        // canonicalization fixpoint (OPENED echoes it as <detector>, and a
-        // client re-OPENing that echo must land on the same session shape).
-        // Full struct equality is NOT preserved — canonical() drops options
-        // the fusion rule ignores (e.g. `fa` under fuse=union).
-        const std::string canon = adiv::fusion::canonical(spec);
-        const adiv::fusion::EnsembleSpec reparsed =
-            adiv::fusion::parse_ensemble_spec(canon);
-        if (adiv::fusion::canonical(reparsed) != canon) __builtin_trap();
+        spec = adiv::fusion::parse_ensemble_spec(text);
     } catch (const adiv::InvalidArgument&) {
+        return 0;
     } catch (const adiv::DataError&) {
+        return 0;
     }
+    // Anything that parses must have been detectable as an ensemble spec
+    // (members are joined with '+', options with ';').
+    if (!looks_ensemble) __builtin_trap();
+    // Round trip: the canonical rendering is itself a valid spec and a
+    // canonicalization fixpoint (OPENED echoes it as <detector>, and a client
+    // re-OPENing that echo must land on the same session shape). A canonical
+    // form that does not parse is a bug, so its own throw traps. Full struct
+    // equality is NOT preserved — canonical() drops options the fusion rule
+    // ignores (e.g. `fa` under fuse=union).
+    const std::string canon = adiv::fusion::canonical(spec);
+    adiv::fusion::EnsembleSpec reparsed;
+    try {
+        reparsed = adiv::fusion::parse_ensemble_spec(canon);
+    } catch (...) {
+        __builtin_trap();
+    }
+    if (adiv::fusion::canonical(reparsed) != canon) __builtin_trap();
     return 0;
 }

@@ -25,6 +25,7 @@
 #include "util/contracts.hpp"
 #include "util/csv.hpp"
 #include "util/error.hpp"
+#include "util/parse_number.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
 #include "util/table.hpp"

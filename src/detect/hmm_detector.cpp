@@ -92,27 +92,27 @@ void HmmDetector::save_model(std::ostream& out) const {
 }
 
 HmmDetector HmmDetector::load_model(std::istream& in) {
-    const std::size_t window = read_size(in, "window length");
-    const std::size_t alphabet = read_size(in, "alphabet size");
+    const std::size_t window = read_number<std::size_t>(in, "window length");
+    const std::size_t alphabet = read_number<std::size_t>(in, "alphabet size");
     HmmDetectorConfig config;
-    config.states = read_size(in, "state count");
-    config.iterations = read_size(in, "iteration count");
-    config.max_training_observations = read_size(in, "training cap");
-    config.probability_floor = read_double(in, "probability floor");
-    config.seed = read_u64(in, "seed");
+    config.states = read_number<std::size_t>(in, "state count");
+    config.iterations = read_number<std::size_t>(in, "iteration count");
+    config.max_training_observations = read_number<std::size_t>(in, "training cap");
+    config.probability_floor = read_number<double>(in, "probability floor");
+    config.seed = read_number<std::uint64_t>(in, "seed");
     HmmDetector detector(window, config);
-    detector.training_ll_ = read_double(in, "training log-likelihood");
+    detector.training_ll_ = read_number<double>(in, "training log-likelihood");
 
     std::vector<double> pi(config.states);
-    for (double& v : pi) v = read_double(in, "initial probability");
+    for (double& v : pi) v = read_number<double>(in, "initial probability");
     Matrix a(config.states, config.states);
     for (std::size_t i = 0; i < config.states; ++i)
         for (std::size_t j = 0; j < config.states; ++j)
-            a.at(i, j) = read_double(in, "transition probability");
+            a.at(i, j) = read_number<double>(in, "transition probability");
     Matrix b(config.states, alphabet);
     for (std::size_t i = 0; i < config.states; ++i)
         for (std::size_t k = 0; k < alphabet; ++k)
-            b.at(i, k) = read_double(in, "emission probability");
+            b.at(i, k) = read_number<double>(in, "emission probability");
 
     HmmConfig hmm_config;
     hmm_config.states = config.states;

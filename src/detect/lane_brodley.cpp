@@ -98,16 +98,16 @@ void LaneBrodleyDetector::save_model(std::ostream& out) const {
 }
 
 LaneBrodleyDetector LaneBrodleyDetector::load_model(std::istream& in) {
-    const std::size_t window = read_size(in, "window length");
-    const std::size_t alphabet = read_size(in, "alphabet size");
-    const std::size_t windows = read_size(in, "window count");
+    const std::size_t window = read_number<std::size_t>(in, "window length");
+    const std::size_t alphabet = read_number<std::size_t>(in, "alphabet size");
+    const std::size_t windows = read_number<std::size_t>(in, "window count");
     LaneBrodleyDetector detector(window);
     detector.codec_.emplace(alphabet);
     require(window <= detector.codec_->max_length(),
             "window length exceeds codec capacity");
     detector.database_.reserve(windows * window);
     for (std::size_t i = 0; i < windows * window; ++i) {
-        const auto s = static_cast<Symbol>(read_u64(in, "database symbol"));
+        const auto s = read_number<Symbol>(in, "database symbol");
         require_data(s < alphabet, "database symbol outside alphabet");
         detector.database_.push_back(s);
     }

@@ -64,18 +64,17 @@ void LookaheadPairsDetector::save_model(std::ostream& out) const {
 }
 
 LookaheadPairsDetector LookaheadPairsDetector::load_model(std::istream& in) {
-    const std::size_t window = read_size(in, "window length");
-    const std::size_t alphabet = read_size(in, "alphabet size");
-    const std::size_t pairs = read_size(in, "pair count");
+    const std::size_t window = read_number<std::size_t>(in, "window length");
+    const std::size_t alphabet = read_number<std::size_t>(in, "alphabet size");
+    const std::size_t pairs = read_number<std::size_t>(in, "pair count");
     LookaheadPairsDetector detector(window);
     detector.alphabet_size_ = alphabet;
     detector.seen_.assign((window - 1) * alphabet * alphabet, false);
     for (std::size_t i = 0; i < pairs; ++i) {
-        const std::size_t k = read_size(in, "pair offset");
+        const std::size_t k = read_number<std::size_t>(in, "pair offset");
         require_data(k >= 1 && k < window, "pair offset outside window");
-        const auto first = static_cast<Symbol>(read_u64(in, "pair first symbol"));
-        const auto follower =
-            static_cast<Symbol>(read_u64(in, "pair follower symbol"));
+        const auto first = read_number<Symbol>(in, "pair first symbol");
+        const auto follower = read_number<Symbol>(in, "pair follower symbol");
         require_data(first < alphabet && follower < alphabet,
                      "pair symbol outside alphabet");
         detector.seen_[detector.index(k, first, follower)] = true;

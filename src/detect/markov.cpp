@@ -62,25 +62,25 @@ void MarkovDetector::save_model(std::ostream& out) const {
 }
 
 MarkovDetector MarkovDetector::load_model(std::istream& in) {
-    const std::size_t window = read_size(in, "window length");
-    const std::size_t alphabet = read_size(in, "alphabet size");
+    const std::size_t window = read_number<std::size_t>(in, "window length");
+    const std::size_t alphabet = read_number<std::size_t>(in, "alphabet size");
     MarkovConfig config;
-    config.probability_floor = read_double(in, "probability floor");
-    config.laplace_alpha = read_double(in, "laplace alpha");
-    const std::size_t contexts = read_size(in, "context count");
+    config.probability_floor = read_number<double>(in, "probability floor");
+    config.laplace_alpha = read_number<double>(in, "laplace alpha");
+    const std::size_t contexts = read_number<std::size_t>(in, "context count");
     MarkovDetector detector(window, config);
 
     std::vector<ContextDistribution> distributions(contexts);
     for (ContextDistribution& dist : distributions) {
         dist.context.resize(window - 1);
         for (Symbol& s : dist.context) {
-            s = static_cast<Symbol>(read_u64(in, "context symbol"));
+            s = read_number<Symbol>(in, "context symbol");
             require_data(s < alphabet, "context symbol outside alphabet");
         }
         dist.next_counts.resize(alphabet);
         dist.total = 0;
         for (std::uint64_t& c : dist.next_counts) {
-            c = read_u64(in, "continuation count");
+            c = read_number<std::uint64_t>(in, "continuation count");
             dist.total += c;
         }
     }

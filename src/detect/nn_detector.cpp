@@ -124,28 +124,28 @@ void NnDetector::save_model(std::ostream& out) const {
 }
 
 NnDetector NnDetector::load_model(std::istream& in) {
-    const std::size_t window = read_size(in, "window length");
-    const std::size_t alphabet = read_size(in, "alphabet size");
+    const std::size_t window = read_number<std::size_t>(in, "window length");
+    const std::size_t alphabet = read_number<std::size_t>(in, "alphabet size");
     NnDetectorConfig config;
-    config.hidden_units = read_size(in, "hidden units");
-    config.epochs = read_size(in, "epochs");
-    config.learning_rate = read_double(in, "learning rate");
-    config.momentum = read_double(in, "momentum");
-    config.init_scale = read_double(in, "init scale");
-    config.probability_floor = read_double(in, "probability floor");
-    config.seed = read_u64(in, "seed");
+    config.hidden_units = read_number<std::size_t>(in, "hidden units");
+    config.epochs = read_number<std::size_t>(in, "epochs");
+    config.learning_rate = read_number<double>(in, "learning rate");
+    config.momentum = read_number<double>(in, "momentum");
+    config.init_scale = read_number<double>(in, "init scale");
+    config.probability_floor = read_number<double>(in, "probability floor");
+    config.seed = read_number<std::uint64_t>(in, "seed");
     NnDetector detector(window, config);
     detector.alphabet_size_ = alphabet;
     detector.codec_ = NgramCodec(alphabet);
-    detector.training_loss_ = read_double(in, "training loss");
+    detector.training_loss_ = read_number<double>(in, "training loss");
 
     // Read the parameters before sizing anything from the header: the vector
     // grows only as numbers arrive, so a huge count or layer size in a short
     // file ends in a DataError, not an allocation of that size.
-    const std::size_t param_count = read_size(in, "parameter count");
+    const std::size_t param_count = read_number<std::size_t>(in, "parameter count");
     std::vector<double> params;
     for (std::size_t i = 0; i < param_count; ++i)
-        params.push_back(read_double(in, "parameter"));
+        params.push_back(read_number<double>(in, "parameter"));
 
     // Weights and biases of the input->hidden and hidden->output layers.
     const std::size_t inputs = checked_product(window - 1, alphabet);

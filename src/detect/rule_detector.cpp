@@ -215,32 +215,32 @@ void RuleDetector::save_model(std::ostream& out) const {
 }
 
 RuleDetector RuleDetector::load_model(std::istream& in) {
-    const std::size_t window = read_size(in, "window length");
-    const std::size_t alphabet = read_size(in, "alphabet size");
+    const std::size_t window = read_number<std::size_t>(in, "window length");
+    const std::size_t alphabet = read_number<std::size_t>(in, "alphabet size");
     RuleDetectorConfig config;
-    config.target_precision = read_double(in, "target precision");
-    config.max_conditions = read_size(in, "max conditions");
-    config.max_rules = read_size(in, "max rules");
-    config.probability_floor = read_double(in, "probability floor");
-    const std::size_t rule_count = read_size(in, "rule count");
+    config.target_precision = read_number<double>(in, "target precision");
+    config.max_conditions = read_number<std::size_t>(in, "max conditions");
+    config.max_rules = read_number<std::size_t>(in, "max rules");
+    config.probability_floor = read_number<double>(in, "probability floor");
+    const std::size_t rule_count = read_number<std::size_t>(in, "rule count");
     require_data(rule_count >= 1, "rule list must contain the default rule");
     RuleDetector detector(window, config);
     detector.alphabet_size_ = alphabet;
 
     std::vector<SequenceRule> rules(rule_count);
     for (SequenceRule& rule : rules) {
-        const std::size_t conditions = read_size(in, "condition count");
+        const std::size_t conditions = read_number<std::size_t>(in, "condition count");
         rule.conditions.resize(conditions);
         for (RuleCondition& c : rule.conditions) {
-            c.position = read_size(in, "condition position");
+            c.position = read_number<std::size_t>(in, "condition position");
             require_data(c.position < window - 1, "condition position outside context");
-            c.value = static_cast<Symbol>(read_u64(in, "condition value"));
+            c.value = read_number<Symbol>(in, "condition value");
             require_data(c.value < alphabet, "condition value outside alphabet");
         }
-        rule.prediction = static_cast<Symbol>(read_u64(in, "rule prediction"));
+        rule.prediction = read_number<Symbol>(in, "rule prediction");
         require_data(rule.prediction < alphabet, "rule prediction outside alphabet");
-        rule.confidence = read_double(in, "rule confidence");
-        rule.support = read_u64(in, "rule support");
+        rule.confidence = read_number<double>(in, "rule confidence");
+        rule.support = read_number<std::uint64_t>(in, "rule support");
     }
     require_data(rules.back().conditions.empty(),
                  "rule list must end with the unconditional default rule");

@@ -52,18 +52,18 @@ void StideDetector::save_model(std::ostream& out) const {
 }
 
 StideDetector StideDetector::load_model(std::istream& in) {
-    const std::size_t window = read_size(in, "window length");
-    const std::size_t alphabet = read_size(in, "alphabet size");
-    const std::size_t distinct = read_size(in, "gram count");
+    const std::size_t window = read_number<std::size_t>(in, "window length");
+    const std::size_t alphabet = read_number<std::size_t>(in, "alphabet size");
+    const std::size_t distinct = read_number<std::size_t>(in, "gram count");
     StideDetector detector(window);
     NgramTable table(alphabet, window);
     Sequence gram(window);
     for (std::size_t i = 0; i < distinct; ++i) {
         for (Symbol& s : gram) {
-            s = static_cast<Symbol>(read_u64(in, "gram symbol"));
+            s = read_number<Symbol>(in, "gram symbol");
             require_data(s < alphabet, "gram symbol outside alphabet");
         }
-        table.add(gram, read_u64(in, "gram count value"));
+        table.add(gram, read_number<std::uint64_t>(in, "gram count value"));
     }
     detector.normal_.emplace(std::move(table));
     return detector;

@@ -1,38 +1,26 @@
 #include "fusion/spec.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
+#include <charconv>
+#include <optional>
+#include <type_traits>
 
 #include "util/error.hpp"
+#include "util/parse_number.hpp"
 
 namespace adiv::fusion {
 
 namespace {
 
-/// Strict full-token numeric parses: the whole value must convert, so
-/// "0.5x" and "" are rejected rather than silently truncated.
-double parse_double(const std::string& key, const std::string& value) {
-    require(!value.empty(), "ensemble option '" + key + "' has an empty value");
-    char* end = nullptr;
-    const double parsed = std::strtod(value.c_str(), &end);
-    require(end == value.c_str() + value.size(),
-            "ensemble option '" + key + "' has a malformed number '" + value +
-                "'");
-    return parsed;
-}
-
-std::size_t parse_count(const std::string& key, const std::string& value) {
-    require(!value.empty() &&
-                value.find_first_not_of("0123456789") == std::string::npos,
-            "ensemble option '" + key + "' must be a non-negative integer, got '" +
-                value + "'");
-    char* end = nullptr;
-    const unsigned long long parsed = std::strtoull(value.c_str(), &end, 10);
-    require(end == value.c_str() + value.size(),
-            "ensemble option '" + key + "' has a malformed integer '" + value +
-                "'");
-    return static_cast<std::size_t>(parsed);
+/// An option value as a `T` in the one number grammar
+/// (util/parse_number.hpp): the whole value must convert and fit, so "0.5x",
+/// "" and an `every` beyond size_t are rejected, never truncated or clamped.
+template <class T>
+T parse_option(const std::string& key, const std::string& value) {
+    if (const std::optional<T> parsed = parse_number<T>(value)) return *parsed;
+    throw InvalidArgument("ensemble option '" + key + "' has a malformed " +
+                          (std::is_integral_v<T> ? "count" : "number") + " '" +
+                          value + "'");
 }
 
 void require_unit_interval(const std::string& key, double value,
@@ -42,12 +30,14 @@ void require_unit_interval(const std::string& key, double value,
                 (allow_one ? "]" : ")"));
 }
 
-/// %g keeps the canonical token short and round-trips every option value we
-/// accept (options are human-chosen rates, not accumulated floats).
+/// The shortest general-format text that parses back to `value` exactly:
+/// the same as %g wherever %g round-trips, and never rounds 0.9999999 to 1.
 std::string render_double(double value) {
     char buffer[32];
-    std::snprintf(buffer, sizeof buffer, "%g", value);
-    return buffer;
+    const auto [end, ec] = std::to_chars(buffer, buffer + sizeof buffer, value,
+                                         std::chars_format::general);
+    ADIV_ASSERT(ec == std::errc());
+    return std::string(buffer, end);
 }
 
 }  // namespace
@@ -126,25 +116,25 @@ EnsembleSpec parse_ensemble_spec(const std::string& token) {
         if (key == "fuse") {
             spec.fuse = parse_fusion_kind(value);
         } else if (key == "fa") {
-            spec.target_fa = parse_double(key, value);
+            spec.target_fa = parse_option<double>(key, value);
             require_unit_interval(key, spec.target_fa, /*allow_one=*/false);
         } else if (key == "k") {
-            spec.votes_needed = parse_count(key, value);
+            spec.votes_needed = parse_option<std::size_t>(key, value);
             require(spec.votes_needed >= 1 &&
                         spec.votes_needed <= spec.members.size(),
                     "ensemble option 'k' must lie in [1, members]");
         } else if (key == "decay") {
-            spec.decay = parse_double(key, value);
+            spec.decay = parse_option<double>(key, value);
             require_unit_interval(key, spec.decay, /*allow_one=*/true);
         } else if (key == "every") {
-            spec.calibrate_every = parse_count(key, value);
+            spec.calibrate_every = parse_option<std::size_t>(key, value);
             require(spec.calibrate_every >= 1,
                     "ensemble option 'every' must be >= 1");
         } else if (key == "w") {
-            spec.ds_discount = parse_double(key, value);
+            spec.ds_discount = parse_option<double>(key, value);
             require_unit_interval(key, spec.ds_discount, /*allow_one=*/true);
         } else if (key == "dst") {
-            spec.ds_threshold = parse_double(key, value);
+            spec.ds_threshold = parse_option<double>(key, value);
             require_unit_interval(key, spec.ds_threshold, /*allow_one=*/true);
         } else {
             throw InvalidArgument("unknown ensemble option '" + key + "'");

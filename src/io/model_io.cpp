@@ -62,7 +62,7 @@ void save_detector(const SequenceDetector& detector, std::ostream& out) {
 
 std::unique_ptr<SequenceDetector> load_detector(std::istream& in) {
     expect_tag(in, "adiv-model");
-    const std::uint64_t version = read_u64(in, "format version");
+    const std::uint64_t version = read_number<std::uint64_t>(in, "format version");
     require_data(version == kFormatVersion,
                  "unsupported adiv-model format version " + std::to_string(version));
     const DetectorKind kind =

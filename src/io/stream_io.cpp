@@ -36,15 +36,15 @@ void save_stream(const EventStream& stream, std::ostream& out) {
 
 EventStream load_stream(std::istream& in) {
     expect_tag(in, "adiv-stream");
-    const std::uint64_t version = read_u64(in, "format version");
+    const std::uint64_t version = read_number<std::uint64_t>(in, "format version");
     require_data(version == kFormatVersion,
                  "unsupported adiv-stream format version " + std::to_string(version));
-    const std::size_t alphabet = read_size(in, "alphabet size");
-    const std::size_t length = read_size(in, "stream length");
+    const std::size_t alphabet = read_number<std::size_t>(in, "alphabet size");
+    const std::size_t length = read_number<std::size_t>(in, "stream length");
     Sequence events;
     events.reserve(length);
     for (std::size_t i = 0; i < length; ++i)
-        events.push_back(static_cast<Symbol>(read_u64(in, "stream symbol")));
+        events.push_back(read_number<Symbol>(in, "stream symbol"));
     return EventStream(alphabet, std::move(events));
 }
 
@@ -76,11 +76,11 @@ void save_trace(const Alphabet& alphabet, const EventStream& stream,
 
 std::pair<Alphabet, EventStream> load_trace(std::istream& in) {
     expect_tag(in, "adiv-trace");
-    const std::uint64_t version = read_u64(in, "format version");
+    const std::uint64_t version = read_number<std::uint64_t>(in, "format version");
     require_data(version == kFormatVersion,
                  "unsupported adiv-trace format version " + std::to_string(version));
-    const std::size_t alphabet_size = read_size(in, "alphabet size");
-    const std::size_t length = read_size(in, "trace length");
+    const std::size_t alphabet_size = read_number<std::size_t>(in, "alphabet size");
+    const std::size_t length = read_number<std::size_t>(in, "trace length");
     std::vector<std::string> names;
     names.reserve(alphabet_size);
     for (std::size_t i = 0; i < alphabet_size; ++i)

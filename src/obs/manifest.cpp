@@ -123,7 +123,7 @@ void save_manifest(const RunManifest& m, std::ostream& out) {
 
 RunManifest load_manifest(std::istream& in) {
     expect_tag(in, "adiv-manifest");
-    const std::uint64_t version = read_u64(in, "manifest version");
+    const std::uint64_t version = read_number<std::uint64_t>(in, "manifest version");
     require_data(version == 1, "unsupported manifest version");
     RunManifest m;
     expect_tag(in, "tool");
@@ -135,23 +135,23 @@ RunManifest load_manifest(std::istream& in) {
     expect_tag(in, "timestamp");
     m.timestamp = read_string_token(in, "timestamp");
     expect_tag(in, "seed");
-    m.seed = read_u64(in, "seed");
+    m.seed = read_number<std::uint64_t>(in, "seed");
     expect_tag(in, "alphabet_size");
-    m.alphabet_size = read_size(in, "alphabet_size");
+    m.alphabet_size = read_number<std::size_t>(in, "alphabet_size");
     expect_tag(in, "training_length");
-    m.training_length = read_size(in, "training_length");
+    m.training_length = read_number<std::size_t>(in, "training_length");
     expect_tag(in, "deviation_rate");
-    m.deviation_rate = read_double(in, "deviation_rate");
+    m.deviation_rate = read_number<double>(in, "deviation_rate");
     expect_tag(in, "deviation_targets");
-    m.deviation_targets = read_size(in, "deviation_targets");
+    m.deviation_targets = read_number<std::size_t>(in, "deviation_targets");
     expect_tag(in, "rare_threshold");
-    m.rare_threshold = read_double(in, "rare_threshold");
+    m.rare_threshold = read_number<double>(in, "rare_threshold");
     expect_tag(in, "anomaly_sizes");
-    m.min_anomaly_size = read_size(in, "min_anomaly_size");
-    m.max_anomaly_size = read_size(in, "max_anomaly_size");
+    m.min_anomaly_size = read_number<std::size_t>(in, "min_anomaly_size");
+    m.max_anomaly_size = read_number<std::size_t>(in, "max_anomaly_size");
     expect_tag(in, "windows");
-    m.min_window = read_size(in, "min_window");
-    m.max_window = read_size(in, "max_window");
+    m.min_window = read_number<std::size_t>(in, "min_window");
+    m.max_window = read_number<std::size_t>(in, "max_window");
     return m;
 }
 

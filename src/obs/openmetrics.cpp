@@ -3,12 +3,13 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
+#include <optional>
 #include <set>
 
 #include "obs/trace.hpp"  // hex16 for exemplar trace/span ids
 #include "util/error.hpp"
+#include "util/parse_number.hpp"
 
 namespace adiv {
 
@@ -127,16 +128,16 @@ const std::set<std::string>& known_metric_types() {
     return kTypes;
 }
 
+/// A sample value: OpenMetrics' `+Inf`/`-Inf`/`NaN` spellings, else a
+/// double in the one number grammar (util/parse_number.hpp).
 double parse_sample_value(const std::string& token, std::size_t line_no) {
-    if (token == "+Inf" || token == "Inf") return HUGE_VAL;
+    if (token == "+Inf") return HUGE_VAL;
     if (token == "-Inf") return -HUGE_VAL;
     if (token == "NaN") return NAN;
-    char* end = nullptr;
-    const double value = std::strtod(token.c_str(), &end);
-    require_data(end == token.c_str() + token.size() && !token.empty(),
-                 "openmetrics line " + std::to_string(line_no) +
-                     ": malformed sample value '" + token + "'");
-    return value;
+    if (const std::optional<double> value = parse_number<double>(token))
+        return *value;
+    throw DataError("openmetrics line " + std::to_string(line_no) +
+                    ": malformed sample value '" + token + "'");
 }
 
 /// The declared family a sample name belongs to, given the suffix grammar

@@ -25,7 +25,8 @@ void add_observability_options(CliParser& cli) {
 ObsSession::ObsSession(const CliParser& cli, RunManifest manifest)
     : manifest_(std::move(manifest)), metrics_spec_(cli.get("metrics")) {
     install(cli.get("trace"));
-    start_sampler(cli.get_int("metrics-interval"), cli.get("metrics-samples"));
+    start_sampler(cli.get_number<std::int64_t>("metrics-interval"),
+                  cli.get("metrics-samples"));
 }
 
 ObsSession::ObsSession(const std::string& metrics_spec,

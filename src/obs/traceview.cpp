@@ -10,6 +10,7 @@
 #include "obs/json.hpp"
 #include "obs/trace.hpp"  // hex16 / parse_hex16 for --request ids
 #include "util/error.hpp"
+#include "util/parse_number.hpp"
 #include "util/table.hpp"
 
 namespace adiv {
@@ -24,7 +25,7 @@ namespace {
 
 struct FieldValue {
     bool is_string = false;
-    std::string text;
+    std::string text;  // a string's value, or a number's token
     double number = 0.0;
 };
 
@@ -83,15 +84,20 @@ public:
         }
     }
 
-    double parse_number() {
+    /// The next number token; a DataError unless it is a double in the one
+    /// number grammar (util/parse_number.hpp), stored in `value`.
+    std::string_view take_number(double& value) {
         const std::size_t start = i_;
         while (i_ < s_.size() &&
                (std::isdigit(static_cast<unsigned char>(s_[i_])) != 0 ||
                 s_[i_] == '-' || s_[i_] == '+' || s_[i_] == '.' ||
                 s_[i_] == 'e' || s_[i_] == 'E'))
             ++i_;
-        require_data(i_ > start, "trace line: malformed number");
-        return std::stod(s_.substr(start, i_ - start));
+        const std::string_view token = std::string_view(s_).substr(start, i_ - start);
+        const std::optional<double> parsed = parse_number<double>(token);
+        if (!parsed) throw DataError("trace line: malformed number");
+        value = *parsed;
+        return token;
     }
 
     void skip_literal(const char* word) {
@@ -134,7 +140,8 @@ public:
         } else if (c == 'n') {
             skip_literal("null");
         } else {
-            (void)parse_number();
+            double ignored = 0.0;
+            (void)take_number(ignored);
         }
     }
 
@@ -166,7 +173,7 @@ FlatObject parse_flat_object(const std::string& line) {
                    head == 'n') {
             cur.skip_value();  // nested / non-scalar: not needed here
         } else {
-            value.number = cur.parse_number();
+            value.text = cur.take_number(value.number);
             fields.emplace(std::move(key), std::move(value));
         }
         cur.skip_ws();
@@ -185,6 +192,16 @@ const FieldValue* find_string(const FlatObject& fields, const char* key) {
 const FieldValue* find_number(const FlatObject& fields, const char* key) {
     const auto it = fields.find(key);
     return it != fields.end() && !it->second.is_string ? &it->second : nullptr;
+}
+
+/// A span's depth as the writer emits it (a non-negative int); nullopt when
+/// the field is missing, negative, fractional or out of int's range.
+std::optional<std::size_t> find_depth(const FlatObject& fields) {
+    const FieldValue* field = find_number(fields, "depth");
+    if (field == nullptr) return std::nullopt;
+    const std::optional<int> depth = parse_number<int>(field->text);
+    if (!depth || *depth < 0) return std::nullopt;
+    return static_cast<std::size_t>(*depth);
 }
 
 // --- aggregation -----------------------------------------------------------
@@ -223,7 +240,8 @@ double nearest_rank(const std::vector<double>& sorted, double q) {
 TraceAnalysis analyze_trace(std::istream& in) {
     TraceAnalysis analysis;
     std::map<std::string, NameAccum> by_name;
-    std::vector<DepthAccum> accum;
+    // Keyed by depth, so a table never grows to a depth a line only claims.
+    std::map<std::size_t, DepthAccum> accum;
     std::optional<RunSummary> run;
     std::vector<OpenSpan> open;
     double max_t = 0.0;  // latest "t" seen; the close time for orphans
@@ -234,15 +252,15 @@ TraceAnalysis analyze_trace(std::istream& in) {
         ++run->spans;
         double child_total = 0.0;
         std::vector<CriticalPathNode> path;
-        if (d + 1 < accum.size()) {
-            child_total = accum[d + 1].child_total;
-            path = std::move(accum[d + 1].max_path);
+        if (const auto child = accum.find(d + 1); child != accum.end()) {
+            child_total = child->second.child_total;
+            path = std::move(child->second.max_path);
         }
         // Interleaved traces (several threads, one stream) can attribute a
         // sibling's children here; the clamp keeps self-time sane.
         const double self = std::max(0.0, duration - child_total);
         path.insert(path.begin(), CriticalPathNode{name, duration, self});
-        accum.resize(d + 1);  // drops consumed deeper levels
+        accum.erase(accum.upper_bound(d), accum.end());  // consumed deeper levels
         DepthAccum& mine = accum[d];
         mine.child_total += duration;
         if (duration > mine.max_dur) {
@@ -277,9 +295,9 @@ TraceAnalysis analyze_trace(std::istream& in) {
     const auto finish_run = [&] {
         close_open_spans();
         if (!run) return;
-        if (!accum.empty()) {
-            run->root_total_s = accum[0].child_total;
-            run->critical_path = std::move(accum[0].max_path);
+        if (const auto root = accum.find(0); root != accum.end()) {
+            run->root_total_s = root->second.child_total;
+            run->critical_path = std::move(root->second.max_path);
         }
         accum.clear();
         analysis.runs.push_back(std::move(*run));
@@ -315,29 +333,25 @@ TraceAnalysis analyze_trace(std::istream& in) {
         }
         if (type->text == "span_begin") {
             const FieldValue* name = find_string(fields, "name");
-            const FieldValue* depth = find_number(fields, "depth");
+            const std::optional<std::size_t> depth = find_depth(fields);
             const FieldValue* t = find_number(fields, "t");
-            if (name == nullptr || depth == nullptr || t == nullptr ||
-                depth->number < 0)
+            if (name == nullptr || !depth || t == nullptr)
                 continue;  // harmless: aggregation works off span_end
             max_t = std::max(max_t, t->number);
-            open.push_back(OpenSpan{name->text,
-                                    static_cast<std::size_t>(depth->number),
-                                    t->number});
+            open.push_back(OpenSpan{name->text, *depth, t->number});
             continue;
         }
         if (type->text != "span_end") continue;  // metrics_sample etc.
         const FieldValue* name = find_string(fields, "name");
-        const FieldValue* depth = find_number(fields, "depth");
+        const std::optional<std::size_t> depth = find_depth(fields);
         const FieldValue* dur = find_number(fields, "dur_s");
-        if (name == nullptr || depth == nullptr || dur == nullptr ||
-            depth->number < 0) {
+        if (name == nullptr || !depth || dur == nullptr) {
             ++analysis.skipped;
             continue;
         }
         if (const FieldValue* t = find_number(fields, "t"))
             max_t = std::max(max_t, t->number);
-        const auto d = static_cast<std::size_t>(depth->number);
+        const std::size_t d = *depth;
         // Retire the matching span_begin: most recent (name, depth) pair.
         for (std::size_t i = open.size(); i > 0; --i)
             if (open[i - 1].depth == d && open[i - 1].name == name->text) {
@@ -465,7 +479,15 @@ ContentionAnalysis analyze_contention(std::istream& in) {
             }
         } else if (type->text == "wait_site") {
             const FieldValue* name = find_string(fields, "site");
-            if (name == nullptr) {
+            // Counts read as the writer's integers: a double cast would be
+            // undefined beyond uint64_t. Absent counts read as 0.
+            const auto count = [&](const char* key) -> std::optional<std::uint64_t> {
+                const FieldValue* v = find_number(fields, key);
+                return v != nullptr ? parse_number<std::uint64_t>(v->text) : 0;
+            };
+            const std::optional<std::uint64_t> acquires = count("acquires");
+            const std::optional<std::uint64_t> contended = count("contended");
+            if (name == nullptr || !acquires || !contended) {
                 ++analysis.skipped;
                 continue;
             }
@@ -477,8 +499,8 @@ ContentionAnalysis analyze_contention(std::istream& in) {
                 const FieldValue* v = find_number(fields, key);
                 return v != nullptr ? v->number : 0.0;
             };
-            site.acquires += static_cast<std::uint64_t>(number("acquires"));
-            site.contended += static_cast<std::uint64_t>(number("contended"));
+            site.acquires += *acquires;
+            site.contended += *contended;
             site.wait_us_total += number("wait_us_total");
             // A sweep emits one line per point; counts sum, tail statistics
             // keep the worst point.

@@ -87,9 +87,12 @@ void HttpMetricsListener::stop() {
     const std::lock_guard<std::mutex> stop_lock(stop_mutex_);
     if (stopped_) return;
     stopped_ = true;
+    // The accept loop polls with a 100 ms timeout and rechecks stopping_, so
+    // it ends on its own; the listener closes only once nothing accepts on
+    // it, because close() writes the descriptor accept() reads.
     stopping_.store(true);
-    listener_.close();
     if (accept_thread_.joinable()) accept_thread_.join();
+    listener_.close();
     const std::lock_guard<std::mutex> lock(mutex_);
     for (std::thread& handler : handlers_)
         if (handler.joinable()) handler.join();
@@ -102,7 +105,7 @@ void HttpMetricsListener::accept_loop() {
         try {
             transport = listener_.accept(/*timeout_ms=*/100);
         } catch (const std::exception&) {
-            return;  // listener closed under us during stop()
+            return;  // a failed listener accepts nothing more
         }
         if (!transport) continue;
         const std::lock_guard<std::mutex> lock(mutex_);

@@ -2,11 +2,11 @@
 
 #include <cctype>
 #include <charconv>
-#include <sstream>
+#include <utility>
 
 #include "obs/trace.hpp"  // hex16 / parse_hex16 for the trace= token
 #include "util/error.hpp"
-#include "util/text_serial.hpp"
+#include "util/parse_number.hpp"
 
 namespace adiv::serve {
 
@@ -51,16 +51,15 @@ std::optional<std::string_view> FrameDecoder::next_view() {
         require_data(rest.size() <= 8, "malformed frame: unterminated length prefix");
         return std::nullopt;
     }
-    std::size_t length = 0;
-    const auto [end, ec] = std::from_chars(rest.data(), rest.data() + sep, length);
-    if (ec != std::errc() || end != rest.data() + sep)
-        throw DataError("malformed frame: length prefix is not a number");
-    if (length > kMaxFramePayload)
+    const std::optional<std::size_t> length =
+        parse_number<std::size_t>(rest.substr(0, sep));
+    if (!length) throw DataError("malformed frame: length prefix is not a number");
+    if (*length > kMaxFramePayload)
         throw DataError("malformed frame: payload too large");
-    if (avail - sep - 1 < length) return std::nullopt;
-    ADIV_ASSERT(pos_ + sep + 1 + length <= buffer_.size());
-    pos_ += sep + 1 + length;
-    return rest.substr(sep + 1, length);
+    if (avail - sep - 1 < *length) return std::nullopt;
+    ADIV_ASSERT(pos_ + sep + 1 + *length <= buffer_.size());
+    pos_ += sep + 1 + *length;
+    return rest.substr(sep + 1, *length);
 }
 
 std::optional<std::string> FrameDecoder::next() {
@@ -129,13 +128,8 @@ bool try_parse_trace(std::string_view token, Request& request) noexcept {
     return true;
 }
 
-void require_done(std::istream& in, std::string_view verb) {
-    std::string extra;
-    require_data(!(in >> extra), "trailing junk after " + std::string(verb));
-}
-
 constexpr bool is_record_space(char c) noexcept {
-    // The characters operator>> skips in the default locale.
+    // The characters std::isspace accepts in the C locale.
     return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
            c == '\r';
 }
@@ -147,41 +141,28 @@ std::string_view take_token(std::string_view payload, std::size_t& at) noexcept 
     return payload.substr(start, at - start);
 }
 
-// The stream-based request parser, kept for the cold verbs (everything but
-// PUSH) so their exact error wording is defined in one place.
-Request parse_request_stream(std::string_view payload) {
-    std::istringstream in{std::string(payload)};
-    const std::string verb = read_token(in, "request verb");
-    Request request;
-    if (verb == kOpen) {
-        request.type = RequestType::Open;
-        request.target = read_token(in, "OPEN target");
-        std::string extra;
-        if (in >> extra) {
-            require_data(try_parse_trace(extra, request),
-                         "trailing junk after OPEN");
-            require_done(in, kOpen);
-        }
-    } else if (verb == kStats) {
-        request.type = RequestType::Stats;
-        require_done(in, kStats);
-    } else if (verb == kMetrics) {
-        request.type = RequestType::Metrics;
-        require_done(in, kMetrics);
-    } else if (verb == kDrain) {
-        request.type = RequestType::Drain;
-        require_done(in, kDrain);
-    } else if (verb == kDump) {
-        request.type = RequestType::Dump;
-        require_done(in, kDump);
-    } else if (verb == kClose) {
-        request.type = RequestType::Close;
-        require_done(in, kClose);
-    } else {
-        throw DataError("unknown request verb '" + verb + "'");
-    }
-    return request;
+/// Throws unless only whitespace remains after `at`.
+void require_done(std::string_view payload, std::size_t at,
+                  std::string_view verb) {
+    if (!take_token(payload, at).empty())
+        throw DataError("trailing junk after " + std::string(verb));
 }
+
+/// The next token as a `T`; `what` names the field in the error.
+template <class T>
+T take_number(std::string_view payload, std::size_t& at, std::string_view verb,
+              const char* what) {
+    const std::string_view token = take_token(payload, at);
+    if (const std::optional<T> value = parse_number<T>(token)) return *value;
+    throw DataError(std::string(verb) + " " + what + " '" + std::string(token) +
+                    "' is not a number");
+}
+
+/// The request verbs that carry no fields, parsed and serialized alike.
+constexpr std::pair<std::string_view, RequestType> kBareRequests[] = {
+    {kStats, RequestType::Stats}, {kMetrics, RequestType::Metrics},
+    {kDrain, RequestType::Drain}, {kDump, RequestType::Dump},
+    {kClose, RequestType::Close}};
 
 }  // namespace
 
@@ -208,19 +189,12 @@ void serialize_into(const Request& request, std::string& payload) {
             append_trace(payload, request);
             return;
         case RequestType::Stats:
-            payload += kStats;
-            return;
         case RequestType::Metrics:
-            payload += kMetrics;
-            return;
         case RequestType::Drain:
-            payload += kDrain;
-            return;
         case RequestType::Dump:
-            payload += kDump;
-            return;
         case RequestType::Close:
-            payload += kClose;
+            for (const auto& [name, type] : kBareRequests)
+                if (type == request.type) payload += name;
             return;
     }
     throw InvalidArgument("unknown request type");
@@ -310,34 +284,47 @@ void parse_request_into(std::string_view payload, Request& request) {
     std::size_t at = 0;
     const std::string_view verb = take_token(payload, at);
     if (verb == kPush) {
-        // The hot verb: scan tokens in place — no stream, no temporaries.
         request.type = RequestType::Push;
         for (;;) {
             const std::string_view token = take_token(payload, at);
             if (token.empty()) break;
-            std::uint32_t value = 0;
-            const auto [end, ec] =
-                std::from_chars(token.data(), token.data() + token.size(), value);
-            if (ec == std::errc() && end == token.data() + token.size()) {
-                request.events.push_back(value);
+            if (const std::optional<Symbol> event = parse_number<Symbol>(token)) {
+                request.events.push_back(*event);
                 continue;
             }
             // Cold branch: the only non-numeric token PUSH admits is a
             // final trace context — digit-only payloads never get here, so
-            // the hot loop stays one from_chars per event.
+            // the hot loop stays one parse per event.
             if (try_parse_trace(token, request)) {
                 if (!take_token(payload, at).empty())
                     throw DataError("PUSH trace context must be the final token");
                 break;
             }
-            require_data(false, "PUSH event '" + std::string(token) +
-                                    "' is not a symbol id");
+            throw DataError("PUSH event '" + std::string(token) +
+                            "' is not a symbol id");
         }
-        // Checked inline: require_data would build its message on every PUSH.
         if (request.events.empty()) throw DataError("PUSH carries no events");
         return;
     }
-    request = parse_request_stream(payload);
+    if (verb == kOpen) {
+        request.type = RequestType::Open;
+        const std::string_view target = take_token(payload, at);
+        if (target.empty()) throw DataError("OPEN is missing its target");
+        request.target = target;
+        const std::string_view extra = take_token(payload, at);
+        if (!extra.empty() && !try_parse_trace(extra, request))
+            throw DataError("trailing junk after OPEN");
+        require_done(payload, at, kOpen);
+        return;
+    }
+    for (const auto& [name, type] : kBareRequests) {
+        if (verb != name) continue;
+        request.type = type;
+        require_done(payload, at, verb);
+        return;
+    }
+    if (verb.empty()) throw DataError("empty request");
+    throw DataError("unknown request verb '" + std::string(verb) + "'");
 }
 
 Request parse_request(std::string_view payload) {
@@ -348,103 +335,59 @@ Request parse_request(std::string_view payload) {
 
 namespace {
 
-// The hot response: scan the SCORES body in place — no stream, no
-// temporaries. A score token is exactly what std::from_chars (general
-// format) consumes in full, so subnormals round-trip and `+`-signed or hex
+// The hot response. A score token is a double in the one number grammar
+// (util/parse_number.hpp), so subnormals round-trip and `+`-signed or hex
 // tokens, which no server emits, are rejected. Failure messages are built
 // only on the throw path.
 void parse_scores(std::string_view payload, std::size_t at,
                   std::vector<double>& scores) {
-    const std::string_view count_token = take_token(payload, at);
-    std::size_t count = 0;
-    const auto [count_end, count_ec] = std::from_chars(
-        count_token.data(), count_token.data() + count_token.size(), count);
-    if (count_token.empty() || count_ec != std::errc() ||
-        count_end != count_token.data() + count_token.size())
-        throw DataError("SCORES count '" + std::string(count_token) +
-                        "' is not a number");
+    const auto count = take_number<std::size_t>(payload, at, kScores, "count");
     // Every score takes at least two payload bytes (a separator and a
     // digit), so a larger count is a lie — reject it before reserving.
     if (count > payload.size() / 2)
-        throw DataError("SCORES count " + std::string(count_token) +
+        throw DataError("SCORES count " + std::to_string(count) +
                         " exceeds what its payload can hold");
     scores.reserve(count);
     for (std::size_t i = 0; i < count; ++i) {
         const std::string_view token = take_token(payload, at);
         if (token.empty())
-            throw DataError("SCORES announces " + std::string(count_token) +
+            throw DataError("SCORES announces " + std::to_string(count) +
                             " scores but carries " + std::to_string(i));
-        double value = 0.0;
-        const auto [end, ec] =
-            std::from_chars(token.data(), token.data() + token.size(), value);
-        if (ec != std::errc() || end != token.data() + token.size())
+        const std::optional<double> value = parse_number<double>(token);
+        if (!value)
             throw DataError("SCORES score '" + std::string(token) +
                             "' is not a number");
-        scores.push_back(value);
+        scores.push_back(*value);
     }
     if (!take_token(payload, at).empty())
         throw DataError("trailing junk after SCORES");
 }
 
-// The stream-based response parser, kept for the cold verbs (everything but
-// SCORES). Fills a response that parse_response_into has already reset.
-void parse_response_stream(std::string_view payload, Response& response) {
-    std::istringstream in{std::string(payload)};
-    const std::string verb = read_token(in, "response verb");
-    if (verb == kOpened) {
-        response.type = ResponseType::Opened;
-        response.session_id = read_u64(in, "session id");
-        response.detector = read_token(in, "detector name");
-        response.window = read_size(in, "window length");
-        response.alphabet = read_size(in, "alphabet size");
-        require_done(in, kOpened);
-    } else if (verb == kStats) {
-        response.type = ResponseType::Stats;
-        response.counts.events = read_u64(in, "events");
-        response.counts.windows = read_u64(in, "windows");
-        response.counts.alarms = read_u64(in, "alarms");
-        response.active_sessions = read_size(in, "active sessions");
-        require_done(in, kStats);
-    } else if (verb == kMetrics || verb == kDumped) {
-        response.type =
-            verb == kMetrics ? ResponseType::Metrics : ResponseType::Dumped;
-        // Raw-byte field: parsed off the payload directly, because the
-        // body embeds spaces and newlines that token extraction would
-        // destroy.
-        const std::string name(verb);
-        const std::size_t verb_end = payload.find(' ');
-        require_data(verb_end != std::string_view::npos,
-                     name + " is missing its byte count");
-        const std::size_t size_end = payload.find(' ', verb_end + 1);
-        require_data(size_end != std::string_view::npos,
-                     name + " is missing its body");
-        std::size_t nbytes = 0;
-        const char* first = payload.data() + verb_end + 1;
-        const char* last = payload.data() + size_end;
-        const auto [end, ec] = std::from_chars(first, last, nbytes);
-        require_data(ec == std::errc() && end == last,
-                     name + " byte count is not a number");
-        const std::string_view body = payload.substr(size_end + 1);
-        require_data(body.size() == nbytes,
-                     name + " byte count disagrees with its body");
-        response.exposition = std::string(body);
-    } else if (verb == kDrained || verb == kClosed) {
-        response.type =
-            verb == kDrained ? ResponseType::Drained : ResponseType::Closed;
-        response.counts.events = read_u64(in, "events");
-        response.counts.windows = read_u64(in, "windows");
-        response.counts.alarms = read_u64(in, "alarms");
-        require_done(in, verb);
-    } else if (verb == kErr) {
-        response.type = ResponseType::Error;
-        std::string rest;
-        std::getline(in, rest);
-        // Drop the separator space after the verb; keep the message verbatim.
-        if (!rest.empty() && rest.front() == ' ') rest.erase(0, 1);
-        response.message = rest;
-    } else {
-        throw DataError("unknown response verb '" + verb + "'");
-    }
+/// The METRICS / DUMPED raw-byte field `<nbytes> SP <body>`, parsed off the
+/// payload directly because the body embeds spaces and newlines.
+std::string_view take_raw_body(std::string_view payload, std::size_t at,
+                               std::string_view verb) {
+    if (at == payload.size() || payload[at] != ' ')
+        throw DataError(std::string(verb) + " is missing its byte count");
+    const std::size_t size_end = payload.find(' ', at + 1);
+    if (size_end == std::string_view::npos)
+        throw DataError(std::string(verb) + " is missing its body");
+    const std::optional<std::size_t> nbytes =
+        parse_number<std::size_t>(payload.substr(at + 1, size_end - at - 1));
+    if (!nbytes)
+        throw DataError(std::string(verb) + " byte count is not a number");
+    const std::string_view body = payload.substr(size_end + 1);
+    if (body.size() != *nbytes)
+        throw DataError(std::string(verb) + " byte count disagrees with its body");
+    return body;
+}
+
+/// The three counters STATS, DRAINED and CLOSED lead with.
+void take_counts(std::string_view payload, std::size_t& at,
+                 std::string_view verb, SessionCounts& counts) {
+    counts.events = take_number<std::uint64_t>(payload, at, verb, "events");
+    counts.windows = take_number<std::uint64_t>(payload, at, verb, "windows");
+    counts.alarms = take_number<std::uint64_t>(payload, at, verb, "alarms");
 }
 
 }  // namespace
@@ -461,12 +404,48 @@ void parse_response_into(std::string_view payload, Response& response) {
     response.exposition.clear();
     response.message.clear();
     std::size_t at = 0;
-    if (take_token(payload, at) == kScores) {
+    const std::string_view verb = take_token(payload, at);
+    if (verb == kScores) {
         response.type = ResponseType::Scores;
         parse_scores(payload, at, response.scores);
         return;
     }
-    parse_response_stream(payload, response);
+    if (verb == kOpened) {
+        response.type = ResponseType::Opened;
+        response.session_id =
+            take_number<std::uint64_t>(payload, at, verb, "session id");
+        const std::string_view detector = take_token(payload, at);
+        if (detector.empty()) throw DataError("OPENED is missing its detector");
+        response.detector = detector;
+        response.window = take_number<std::size_t>(payload, at, verb, "window");
+        response.alphabet =
+            take_number<std::size_t>(payload, at, verb, "alphabet size");
+    } else if (verb == kStats) {
+        response.type = ResponseType::Stats;
+        take_counts(payload, at, verb, response.counts);
+        response.active_sessions =
+            take_number<std::size_t>(payload, at, verb, "active sessions");
+    } else if (verb == kDrained || verb == kClosed) {
+        response.type =
+            verb == kDrained ? ResponseType::Drained : ResponseType::Closed;
+        take_counts(payload, at, verb, response.counts);
+    } else if (verb == kMetrics || verb == kDumped) {
+        response.type =
+            verb == kMetrics ? ResponseType::Metrics : ResponseType::Dumped;
+        response.exposition = take_raw_body(payload, at, verb);
+        return;
+    } else if (verb == kErr) {
+        // The message runs to the end of the payload, verbatim after the
+        // one separator space.
+        response.type = ResponseType::Error;
+        std::string_view message = payload.substr(at);
+        if (!message.empty() && message.front() == ' ') message.remove_prefix(1);
+        response.message = message;
+        return;
+    } else {
+        throw DataError("unknown response verb '" + std::string(verb) + "'");
+    }
+    require_done(payload, at, verb);
 }
 
 Response parse_response(std::string_view payload) {

@@ -39,9 +39,10 @@
 //   SCORES <n> <v1> ... <vn>        one response per completed window, in
 //                                   stream order; 17-significant-digit
 //                                   decimal, so doubles round-trip exactly
-//                                   (subnormals included). A <v> token is
-//                                   what std::from_chars' general format
-//                                   consumes in full: no `+` sign, no hex
+//                                   (subnormals included). Every number
+//                                   field is a token of the one number
+//                                   grammar (util/parse_number.hpp): no
+//                                   `+` sign, no hex, no out-of-range value
 //   STATS <events> <windows> <alarms> <active-sessions>
 //   METRICS <nbytes> <exposition>   raw OpenMetrics text; nbytes covers the
 //                                   bytes after the single separator space
@@ -159,7 +160,7 @@ Response parse_response(std::string_view payload);
 /// Allocation-reusing variants for the PUSH round trip on both ends: the
 /// output (cleared first) and the Request's / Response's strings and vectors
 /// keep their capacity across calls, and PUSH requests / SCORES responses
-/// are formatted and parsed without streams or per-token temporaries.
+/// are formatted and parsed without per-token temporaries.
 /// Byte-identical to serialize(); field-identical to parse_request() /
 /// parse_response(). After a parse throws, the output holds unspecified
 /// (valid) values.

@@ -254,8 +254,7 @@ std::unique_ptr<Transport> TcpListener::accept(int timeout_ms) {
     }
     const int client = ::accept(fd_, nullptr, nullptr);
     if (client < 0) {
-        // close() from another thread surfaces here; treat as "no client".
-        if (errno == EBADF || errno == EINVAL || errno == EINTR) return nullptr;
+        if (errno == EINTR) return nullptr;
         throw DataError(std::string("accept failed: ") + std::strerror(errno));
     }
     const int nodelay = 1;

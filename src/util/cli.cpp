@@ -1,7 +1,6 @@
 #include "util/cli.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "util/error.hpp"
 
@@ -61,24 +60,6 @@ std::string CliParser::get(const std::string& name) const {
     require(it != options_.end(), "option --" + name + " was never registered");
     require(!it->second.is_flag, "--" + name + " is a flag; use get_flag");
     return it->second.value.value_or(it->second.default_value);
-}
-
-std::int64_t CliParser::get_int(const std::string& name) const {
-    const std::string text = get(name);
-    char* end = nullptr;
-    const long long v = std::strtoll(text.c_str(), &end, 10);
-    require(end && *end == '\0' && !text.empty(),
-            "option --" + name + " expects an integer, got '" + text + "'");
-    return v;
-}
-
-double CliParser::get_double(const std::string& name) const {
-    const std::string text = get(name);
-    char* end = nullptr;
-    const double v = std::strtod(text.c_str(), &end);
-    require(end && *end == '\0' && !text.empty(),
-            "option --" + name + " expects a number, got '" + text + "'");
-    return v;
 }
 
 bool CliParser::get_flag(const std::string& name) const {

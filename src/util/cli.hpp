@@ -5,11 +5,15 @@
 // immediately; `--help` prints the registered options.
 #pragma once
 
-#include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
+
+#include "util/error.hpp"
+#include "util/parse_number.hpp"
 
 namespace adiv {
 
@@ -32,8 +36,24 @@ public:
     bool parse(int argc, const char* const* argv);
 
     [[nodiscard]] std::string get(const std::string& name) const;
-    [[nodiscard]] std::int64_t get_int(const std::string& name) const;
-    [[nodiscard]] double get_double(const std::string& name) const;
+
+    /// The option's value as a `T` in the one number grammar
+    /// (util/parse_number.hpp). Throws InvalidArgument when it is not a
+    /// whole number that fits `T`: `--port 70000` is an error for a
+    /// uint16_t, and `--jobs -1` for a size_t, never a wrapped value.
+    template <class T>
+    [[nodiscard]] T get_number(const std::string& name) const {
+        const std::string text = get(name);
+        if (const std::optional<T> value = parse_number<T>(text)) return *value;
+        throw InvalidArgument(
+            "option --" + name + " expects " +
+            (std::is_integral_v<T>
+                 ? "an integer in [" + std::to_string(std::numeric_limits<T>::min()) +
+                       ", " + std::to_string(std::numeric_limits<T>::max()) + "]"
+                 : std::string("a number")) +
+            ", got '" + text + "'");
+    }
+
     [[nodiscard]] bool get_flag(const std::string& name) const;
     [[nodiscard]] const std::vector<std::string>& positionals() const noexcept {
         return positionals_;

@@ -7,14 +7,15 @@
 // so a truncated or corrupted file fails loudly.
 #pragma once
 
-#include <charconv>
 #include <cstdint>
 #include <iomanip>
 #include <istream>
+#include <optional>
 #include <ostream>
 #include <string>
 
 #include "util/error.hpp"
+#include "util/parse_number.hpp"
 
 namespace adiv {
 
@@ -38,33 +39,14 @@ inline void expect_tag(std::istream& in, const std::string& tag) {
                  "model file corrupt: expected '" + tag + "', found '" + token + "'");
 }
 
-/// Parses `token` as a `T` with std::from_chars, which must consume the whole
-/// token: no sign on an unsigned value (so `-1` never wraps to 2^64 - 1), no
-/// leading `+`, no hex, no trailing junk. Subnormal doubles parse exactly,
-/// so every value write_double emits reads back.
+/// Reads the next token as a `T` in the one number grammar
+/// (util/parse_number.hpp), so a symbol id that does not fit `Symbol` is a
+/// DataError naming `what`, never a wrapped id.
 template <typename T>
-T parse_token(const std::string& token, const std::string& what) {
-    T value{};
-    const char* const last = token.data() + token.size();
-    const auto [end, ec] = std::from_chars(token.data(), last, value);
-    if (ec != std::errc() || end != last)
-        throw DataError("model file corrupt: '" + token + "' is not a valid " + what);
-    return value;
-}
-
-/// Reads an unsigned integer token.
-inline std::uint64_t read_u64(std::istream& in, const std::string& what) {
-    return parse_token<std::uint64_t>(read_token(in, what), what);
-}
-
-/// Reads a size_t token.
-inline std::size_t read_size(std::istream& in, const std::string& what) {
-    return parse_token<std::size_t>(read_token(in, what), what);
-}
-
-/// Reads a double token (general format; `inf` and `nan` included).
-inline double read_double(std::istream& in, const std::string& what) {
-    return parse_token<double>(read_token(in, what), what);
+T read_number(std::istream& in, const std::string& what) {
+    const std::string token = read_token(in, what);
+    if (const std::optional<T> value = parse_number<T>(token)) return *value;
+    throw DataError("model file corrupt: '" + token + "' is not a valid " + what);
 }
 
 }  // namespace adiv

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
+
 #include "util/error.hpp"
 
 namespace adiv::fusion {
@@ -84,6 +88,12 @@ TEST(EnsembleSpec, RejectsMalformedOptions) {
     EXPECT_THROW((void)parse_ensemble_spec("a+b;every=0"), InvalidArgument);
     EXPECT_THROW((void)parse_ensemble_spec("a+b;fa=0.01;fa=0.02"),
                  InvalidArgument);
+    // The one number grammar: no `+`, no hex, nothing beyond the type.
+    EXPECT_THROW((void)parse_ensemble_spec("a+b;fa=+0.5"), InvalidArgument);
+    EXPECT_THROW((void)parse_ensemble_spec("a+b;fa=0x1p-2"), InvalidArgument);
+    EXPECT_THROW((void)parse_ensemble_spec("a+b;k=+1"), InvalidArgument);
+    EXPECT_THROW((void)parse_ensemble_spec("a+b;every=18446744073709551616"),
+                 InvalidArgument);
 }
 
 TEST(EnsembleSpec, CanonicalRendersOnlyRuleRelevantOptions) {
@@ -109,6 +119,40 @@ TEST(EnsembleSpec, CanonicalIsAParseFixpoint) {
         const std::string canon = canonical(parse_ensemble_spec(token));
         EXPECT_EQ(canonical(parse_ensemble_spec(canon)), canon) << token;
     }
+}
+
+TEST(EnsembleSpec, CanonicalPreservesEveryOptionValue) {
+    // OPENED echoes canonical(); re-OPENing the echo must land on the same
+    // options bit for bit, not on a six-digit rounding of them.
+    const double below_one = std::nextafter(1.0, 0.0);
+    const double denorm = std::numeric_limits<double>::denorm_min();
+    EnsembleSpec vote;
+    vote.members = {"a", "b", "c"};
+    vote.fuse = FusionKind::Vote;
+    vote.votes_needed = 3;
+    vote.calibrate_every = std::numeric_limits<std::size_t>::max();
+    EnsembleSpec ds;
+    ds.members = {"a", "b"};
+    ds.fuse = FusionKind::DempsterShafer;
+    std::vector<EnsembleSpec> specs;
+    for (const double value : {0.9999999, 0.1234567, below_one, denorm}) {
+        vote.target_fa = value;
+        vote.decay = value;
+        specs.push_back(vote);
+        ds.ds_discount = value;
+        ds.ds_threshold = value;
+        specs.push_back(ds);
+    }
+    vote.decay = 1.0;
+    specs.push_back(vote);
+    for (const EnsembleSpec& spec : specs) {
+        const std::string canon = canonical(spec);
+        EXPECT_TRUE(parse_ensemble_spec(canon) == spec) << canon;
+    }
+    vote.target_fa = 0.9999999;
+    EXPECT_EQ(canonical(vote),
+              "a+b+c;fuse=vote;fa=0.9999999;k=3;decay=1;"
+              "every=18446744073709551615");
 }
 
 }  // namespace

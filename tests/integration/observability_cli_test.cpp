@@ -196,6 +196,22 @@ TEST_F(ObservabilityCli, ParallelScoringMatchesSerialCsv) {
         << "chunked parallel scoring must splice to the exact serial responses";
 }
 
+TEST_F(ObservabilityCli, StdinSymbolIdsBeyondUint32AreRejected) {
+    // 4294967297 is 2^32 + 1: a symbol id that must fail, not wrap to 1.
+    const std::string log_path = *dir_ + "stdin_ids.txt";
+    const auto score_stdin = [&](const std::string& ids) {
+        return run_command("echo '" + ids + "' | " + ADIV_SCORE_TOOL +
+                           " --model " + quoted(*dir_ + "model.adiv") +
+                           " --input - --csv > " + quoted(log_path) + " 2>&1");
+    };
+    ASSERT_EQ(score_stdin("1 2 3"), 0) << read_file(log_path);
+    for (const char* ids : {"4294967297 2 3", "1 2 4294967297"}) {
+        EXPECT_EQ(score_stdin(ids), 1) << ids << ": " << read_file(log_path);
+        EXPECT_NE(read_file(log_path).find("'4294967297'"), std::string::npos)
+            << read_file(log_path);
+    }
+}
+
 #else  // tool paths not provided by the build
 
 TEST(ObservabilityCli, DISABLED_ToolsNotBuilt) {

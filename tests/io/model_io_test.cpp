@@ -210,6 +210,78 @@ TEST(ModelIo, HmmModelRoundTripsExtremeDoublesBitExactly) {
     }
 }
 
+/// `value` as write_double renders it in a model file.
+std::string model_text(double value) {
+    std::ostringstream out;
+    write_double(out, value);
+    return out.str();
+}
+
+TEST(ModelIo, EveryDoubleStoringKindRoundTripsBitExactly) {
+    // Config doubles at the edges each kind's validation allows: -0.0, the
+    // smallest subnormal and DBL_MAX. save -> load -> save must reproduce
+    // every byte (a -0 or subnormal that loaded as 0 would save as "0"), and
+    // the reloaded model must score bit for bit like the trained one.
+    const double denorm = std::numeric_limits<double>::denorm_min();
+    struct Case {
+        DetectorKind kind;
+        DetectorSettings settings;
+        std::vector<double> extremes;  // values the saved text must carry
+    };
+    std::vector<Case> cases(5);
+    cases[0].kind = DetectorKind::Markov;
+    cases[0].settings.markov.probability_floor = -0.0;
+    cases[0].settings.markov.laplace_alpha = DBL_MAX;
+    cases[0].extremes = {-0.0, DBL_MAX};
+    cases[1].kind = DetectorKind::Markov;
+    cases[1].settings.markov.probability_floor = denorm;
+    cases[1].settings.markov.laplace_alpha = denorm;
+    cases[1].extremes = {denorm};
+    cases[2].kind = DetectorKind::NeuralNet;
+    cases[2].settings.nn.epochs = 5;
+    cases[2].settings.nn.learning_rate = denorm;
+    cases[2].settings.nn.momentum = -0.0;
+    cases[2].settings.nn.init_scale = denorm;  // subnormal weights, too
+    cases[2].settings.nn.probability_floor = denorm;
+    cases[2].extremes = {denorm, -0.0};
+    cases[3].kind = DetectorKind::TStide;
+    cases[3].settings.tstide.rare_threshold = denorm;
+    cases[3].extremes = {denorm};
+    cases[4].kind = DetectorKind::Rule;
+    cases[4].settings.rule.target_precision = denorm;
+    cases[4].settings.rule.probability_floor = -0.0;
+    cases[4].extremes = {denorm, -0.0};
+
+    const EventStream heldout = test::small_corpus().generate_heldout(2'000, 42);
+    for (const Case& c : cases) {
+        auto trained = make_detector(c.kind, 4, c.settings);
+        trained->train(test::small_corpus().training());
+        std::stringstream first;
+        save_detector(*trained, first);
+        const std::string saved = first.str();
+        for (const double value : c.extremes)
+            EXPECT_NE(saved.find(model_text(value)), std::string::npos)
+                << to_string(c.kind) << " does not store " << model_text(value);
+        const auto loaded = load_detector(first);
+        std::stringstream second;
+        save_detector(*loaded, second);
+        EXPECT_EQ(second.str(), saved) << to_string(c.kind);
+        const std::vector<double> expected = trained->score(heldout);
+        const std::vector<double> actual = loaded->score(heldout);
+        ASSERT_EQ(actual.size(), expected.size()) << to_string(c.kind);
+        EXPECT_EQ(std::memcmp(actual.data(), expected.data(),
+                              expected.size() * sizeof(double)),
+                  0)
+            << to_string(c.kind);
+    }
+}
+
+TEST(ModelIo, RejectsSymbolIdsBeyondSymbolRange) {
+    // 4294967298 = 2^32 + 2 must not wrap to symbol 2, which is in range.
+    std::istringstream gram("adiv-model 1 stide 3 4 2 0 1 4294967298 5 1 2 3 4");
+    EXPECT_THROW((void)load_detector(gram), DataError);
+}
+
 TEST(ModelIo, RejectsNegativeSizes) {
     // A `-1` dimension must not wrap to SIZE_MAX.
     std::istringstream window("adiv-model 1 stide -1 4 2 0 1 2 5 1 2 3 4");

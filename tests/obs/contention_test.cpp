@@ -87,6 +87,22 @@ TEST(Contention, AggregatesWaitSitesAcrossSweepPoints) {
     EXPECT_EQ(analysis.dominant_site, "serve.shard.table");
 }
 
+TEST(Contention, NonIntegerCountsSkipTheLine) {
+    // Counts are the writer's uint64s; one beyond that range, negative or
+    // fractional is a malformed line, never a wrapped or truncated count.
+    std::string text;
+    for (const char* acquires : {"1e20", "-1", "2.5", "3"})
+        text += std::string("{\"type\":\"wait_site\",\"site\":\"s\",") +
+                "\"kind\":\"contention\",\"acquires\":" + acquires +
+                ",\"contended\":1,\"wait_us_total\":10}\n";
+    std::istringstream in(text);
+    const ContentionAnalysis analysis = analyze_contention(in);
+    EXPECT_EQ(analysis.skipped, 3u);
+    ASSERT_EQ(analysis.sites.size(), 1u);
+    EXPECT_EQ(analysis.sites[0].acquires, 3u);
+    EXPECT_EQ(analysis.sites[0].contended, 1u);
+}
+
 TEST(Contention, IdleOnlyTrafficNamesNoDominantSite) {
     std::istringstream in(
         "{\"type\":\"wait_site\",\"site\":\"serve.pool.dequeue_wait\","

@@ -163,6 +163,13 @@ TEST(OpenMetricsParse, RejectsNegativeOrNonFiniteCounters) {
 TEST(OpenMetricsParse, RejectsMalformedValuesAndNames) {
     EXPECT_THROW((void)parse_openmetrics("# TYPE g gauge\ng abc\n# EOF\n"),
                  DataError);
+    // Outside the one number grammar: a `+` other than `+Inf`, hex, and a
+    // value beyond double's range.
+    for (const char* value : {"+1", "0x10", "1e999"})
+        EXPECT_THROW((void)parse_openmetrics(std::string("# TYPE g gauge\ng ") +
+                                             value + "\n# EOF\n"),
+                     DataError)
+            << value;
     EXPECT_THROW((void)parse_openmetrics("# TYPE 9bad gauge\n# EOF\n"), DataError);
     EXPECT_THROW((void)parse_openmetrics("# TYPE g notatype\n# EOF\n"), DataError);
     EXPECT_THROW((void)parse_openmetrics("# TYPE g gauge\n# TYPE g gauge\n# EOF\n"),

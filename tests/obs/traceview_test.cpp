@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -127,6 +128,30 @@ TEST(Traceview, MalformedLinesAreCountedNotFatal) {
     EXPECT_EQ(analysis.skipped, 4u);
     ASSERT_EQ(analysis.spans.size(), 1u);
     EXPECT_EQ(analysis.spans[0].count, 1u);
+}
+
+TEST(Traceview, BadNumbersSkipTheLineNotTheAnalysis) {
+    const auto end_line = [](const std::string& depth, const std::string& dur,
+                             const std::string& name = "a.b") {
+        return "{\"type\":\"span_end\",\"name\":\"" + name +
+               "\",\"depth\":" + depth + ",\"t\":0,\"dur_s\":" + dur + "}\n";
+    };
+    // A depth is the writer's non-negative int; a table is never sized from
+    // one, so 1e18 and 2^31 are malformed lines, not allocations.
+    const TraceAnalysis analysis = analyze(
+        end_line("0", "1") + end_line("0", "-") + end_line("0", "1e999") +
+        end_line("1e18", "1") + end_line("2147483648", "1") +
+        end_line("1.5", "1") + end_line("0", "5e-324", "tiny") +
+        end_line("0", "2"));
+    EXPECT_EQ(analysis.lines, 8u);
+    EXPECT_EQ(analysis.skipped, 5u);
+    const SpanStats* kept = span_named(analysis, "a.b");
+    ASSERT_NE(kept, nullptr);
+    EXPECT_EQ(kept->count, 2u);
+    EXPECT_EQ(kept->total_s, 3.0);
+    const SpanStats* tiny = span_named(analysis, "tiny");  // subnormal, valid
+    ASSERT_NE(tiny, nullptr);
+    EXPECT_EQ(tiny->total_s, std::numeric_limits<double>::denorm_min());
 }
 
 TEST(Traceview, HeaderlessTraceYieldsOneAnonymousRun) {

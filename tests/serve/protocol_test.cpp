@@ -266,6 +266,15 @@ TEST(Responses, ErrorMessageRunsToEndOfPayload) {
     EXPECT_EQ(parsed.message, "unknown model 'quantum/9'");
 }
 
+TEST(Responses, ErrorMessageKeepsEmbeddedNewlines) {
+    // "Runs to the end of the payload" includes past a newline: the frame
+    // length, not a line, delimits the message.
+    const Response parsed =
+        parse_response(serialize(error_response("bad symbol\nat event 7")));
+    EXPECT_EQ(parsed.type, ResponseType::Error);
+    EXPECT_EQ(parsed.message, "bad symbol\nat event 7");
+}
+
 TEST(Responses, RejectsMalformedRecords) {
     EXPECT_THROW((void)parse_response("WAT 1"), DataError);
     EXPECT_THROW((void)parse_response("SCORES 2 0.5"), DataError);  // count lies

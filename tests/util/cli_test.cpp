@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "util/error.hpp"
 
 namespace adiv {
@@ -21,8 +24,8 @@ TEST(CliParser, DefaultsApplyWhenAbsent) {
     const char* argv[] = {"prog"};
     ASSERT_TRUE(cli.parse(1, argv));
     EXPECT_EQ(cli.get("name"), "default");
-    EXPECT_EQ(cli.get_int("count"), 5);
-    EXPECT_DOUBLE_EQ(cli.get_double("ratio"), 0.5);
+    EXPECT_EQ(cli.get_number<int>("count"), 5);
+    EXPECT_DOUBLE_EQ(cli.get_number<double>("ratio"), 0.5);
     EXPECT_FALSE(cli.get_flag("verbose"));
 }
 
@@ -30,7 +33,7 @@ TEST(CliParser, ParsesSpaceSeparatedValue) {
     CliParser cli = make_parser();
     const char* argv[] = {"prog", "--count", "42"};
     ASSERT_TRUE(cli.parse(3, argv));
-    EXPECT_EQ(cli.get_int("count"), 42);
+    EXPECT_EQ(cli.get_number<int>("count"), 42);
 }
 
 TEST(CliParser, ParsesEqualsSeparatedValue) {
@@ -78,7 +81,44 @@ TEST(CliParser, NonNumericIntThrows) {
     CliParser cli = make_parser();
     const char* argv[] = {"prog", "--count", "abc"};
     ASSERT_TRUE(cli.parse(3, argv));
-    EXPECT_THROW((void)cli.get_int("count"), InvalidArgument);
+    EXPECT_THROW((void)cli.get_number<int>("count"), InvalidArgument);
+}
+
+/// A parser whose --count, --ratio and --port options hold the given texts.
+CliParser parsed_with(const char* count, const char* ratio, const char* port) {
+    CliParser cli = make_parser();
+    cli.add_option("port", "0", "a port");
+    const char* argv[] = {"prog", "--count", count, "--ratio", ratio, "--port", port};
+    EXPECT_TRUE(cli.parse(7, argv));
+    return cli;
+}
+
+TEST(CliParser, NumbersMustFitTheirTypeAndNeverWrap) {
+    EXPECT_EQ(parsed_with("5", "0.5", "65535").get_number<std::uint16_t>("port"),
+              65535u);
+    EXPECT_THROW((void)parsed_with("5", "0.5", "70000").get_number<std::uint16_t>("port"),
+                 InvalidArgument);
+    for (const char* count : {"-1", "99999999999999999999", " 5", "+5", "0x5", "5 "})
+        EXPECT_THROW((void)parsed_with(count, "0.5", "0").get_number<std::size_t>("count"),
+                     InvalidArgument)
+            << "'" << count << "'";
+    EXPECT_EQ(parsed_with("-1", "0.5", "0").get_number<int>("count"), -1);
+    for (const char* ratio : {" 0.5", "+0.5", "0.5x", "1e999", ""})
+        EXPECT_THROW((void)parsed_with("5", ratio, "0").get_number<double>("ratio"),
+                     InvalidArgument)
+            << "'" << ratio << "'";
+    EXPECT_EQ(parsed_with("5", "5e-324", "0").get_number<double>("ratio"),
+              std::numeric_limits<double>::denorm_min());
+}
+
+TEST(CliParser, BadNumberMessageNamesTheOptionAndRange) {
+    try {
+        (void)parsed_with("5", "0.5", "70000").get_number<std::uint16_t>("port");
+        FAIL() << "70000 fit a uint16_t";
+    } catch (const InvalidArgument& e) {
+        EXPECT_STREQ(e.what(),
+                     "option --port expects an integer in [0, 65535], got '70000'");
+    }
 }
 
 TEST(CliParser, HelpReturnsFalse) {

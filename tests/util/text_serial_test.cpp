@@ -18,7 +18,7 @@ TEST(TextSerial, DoubleRoundTripsExactly) {
         std::ostringstream out;
         write_double(out, value);
         std::istringstream in(out.str());
-        EXPECT_EQ(read_double(in, "value"), value);
+        EXPECT_EQ(read_number<double>(in, "value"), value);
     }
 }
 
@@ -27,7 +27,7 @@ TEST(TextSerial, SpecialDoubleValues) {
         std::ostringstream out;
         write_double(out, value);
         std::istringstream in(out.str());
-        EXPECT_EQ(read_double(in, "value"), value);
+        EXPECT_EQ(read_number<double>(in, "value"), value);
     }
 }
 
@@ -44,18 +44,18 @@ TEST(TextSerial, ExpectTagMatches) {
 
 TEST(TextSerial, ReadU64ValidatesInput) {
     std::istringstream good("12345");
-    EXPECT_EQ(read_u64(good, "n"), 12345u);
+    EXPECT_EQ(read_number<std::uint64_t>(good, "n"), 12345u);
     std::istringstream bad("12x45");
-    EXPECT_THROW((void)read_u64(bad, "n"), DataError);
+    EXPECT_THROW((void)read_number<std::uint64_t>(bad, "n"), DataError);
     std::istringstream words("abc");
-    EXPECT_THROW((void)read_u64(words, "n"), DataError);
+    EXPECT_THROW((void)read_number<std::uint64_t>(words, "n"), DataError);
 }
 
 TEST(TextSerial, ReadDoubleValidatesInput) {
     std::istringstream good("-2.5e3");
-    EXPECT_DOUBLE_EQ(read_double(good, "x"), -2500.0);
+    EXPECT_DOUBLE_EQ(read_number<double>(good, "x"), -2500.0);
     std::istringstream bad("1.5zzz");
-    EXPECT_THROW((void)read_double(bad, "x"), DataError);
+    EXPECT_THROW((void)read_number<double>(bad, "x"), DataError);
 }
 
 TEST(Stopwatch, MeasuresElapsedTime) {

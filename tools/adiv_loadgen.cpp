@@ -69,7 +69,6 @@
 #include <cstdio>
 #include <cstring>
 #include <map>
-#include <sstream>
 #include <thread>
 
 #include "adiv.hpp"
@@ -451,13 +450,22 @@ void print_latency_summary(const RunResult& result) {
     }
 }
 
-/// "1,2,4" -> {1, 2, 4}; empty input -> empty list.
-std::vector<std::size_t> parse_size_list(const std::string& text) {
+/// --<option> "1,2,4" -> {1, 2, 4}; empty input -> empty list. Each item is
+/// a size_t in the one number grammar: `-1` is an error, not SIZE_MAX.
+std::vector<std::size_t> parse_size_list(const std::string& option,
+                                         std::string_view text) {
     std::vector<std::size_t> values;
-    std::stringstream list(text);
-    std::string item;
-    while (std::getline(list, item, ','))
-        values.push_back(static_cast<std::size_t>(std::stoul(item)));
+    for (std::size_t pos = 0; pos < text.size();) {
+        const std::size_t comma = std::min(text.find(',', pos), text.size());
+        const std::string_view item = text.substr(pos, comma - pos);
+        const std::optional<std::size_t> value = parse_number<std::size_t>(item);
+        if (!value)
+            throw InvalidArgument("--" + option +
+                                  " expects non-negative integers, got '" +
+                                  std::string(item) + "'");
+        values.push_back(*value);
+        pos = comma + 1;
+    }
     return values;
 }
 
@@ -537,15 +545,15 @@ int main(int argc, char** argv) {
         if (!cli.parse(argc, argv)) return 0;
 
         LoadSpec spec;
-        spec.sessions = static_cast<std::size_t>(cli.get_int("sessions"));
-        spec.events_per_session = static_cast<std::size_t>(cli.get_int("events"));
-        spec.batch = static_cast<std::size_t>(cli.get_int("batch"));
+        spec.sessions = cli.get_number<std::size_t>("sessions");
+        spec.events_per_session = cli.get_number<std::size_t>("events");
+        spec.batch = cli.get_number<std::size_t>("batch");
         spec.target = cli.get("target");
-        spec.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+        spec.seed = cli.get_number<std::uint64_t>("seed");
         spec.verify = cli.get_flag("verify");
         spec.scrape = cli.get_flag("scrape");
         spec.dump = cli.get_flag("dump");
-        spec.scorer_buffer = static_cast<std::size_t>(cli.get_int("buffer"));
+        spec.scorer_buffer = cli.get_number<std::size_t>("buffer");
         require(spec.sessions > 0, "--sessions must be positive");
         require(spec.batch > 0, "--batch must be positive");
 
@@ -578,7 +586,7 @@ int main(int argc, char** argv) {
         const std::string sweep = cli.get("sweep-jobs");
         const std::string sweep_shards = cli.get("sweep-shards");
         const bool sweep_mode = !sweep.empty() || !sweep_shards.empty();
-        const int port = cli.get_int("port");
+        const auto port = cli.get_number<std::uint16_t>("port");
         require(sweep_mode || port > 0, "--port or --sweep-jobs is required");
         require(cli.get("scrape-http").empty() || !sweep_mode,
                 "--scrape-http needs TCP mode (--port)");
@@ -637,22 +645,21 @@ int main(int argc, char** argv) {
 
         if (sweep_mode) {
             require(!models.empty(), "--sweep-jobs requires --model");
-            std::vector<std::size_t> jobs_values = parse_size_list(sweep);
+            std::vector<std::size_t> jobs_values = parse_size_list("sweep-jobs", sweep);
             if (jobs_values.empty()) jobs_values.push_back(0);
-            std::vector<std::size_t> shard_values = parse_size_list(sweep_shards);
+            std::vector<std::size_t> shard_values =
+                parse_size_list("sweep-shards", sweep_shards);
             if (shard_values.empty()) shard_values.push_back(0);
             for (const std::size_t shards : shard_values) {
             for (const std::size_t jobs : jobs_values) {
                 serve::ServerConfig config;
                 config.jobs = jobs;
                 config.shards = shards;
-                config.queue_capacity =
-                    static_cast<std::size_t>(cli.get_int("queue"));
+                config.queue_capacity = cli.get_number<std::size_t>("queue");
                 config.scorer_buffer = spec.scorer_buffer;
-                config.flight_capacity =
-                    static_cast<std::size_t>(cli.get_int("flight"));
+                config.flight_capacity = cli.get_number<std::size_t>("flight");
                 config.profile_sample_every =
-                    static_cast<std::uint64_t>(cli.get_int("profile-sample"));
+                    cli.get_number<std::uint64_t>("profile-sample");
                 // Each profiled point gets a clean registry so its captured
                 // digest covers exactly this shards x jobs point; the
                 // wait-site instruments live in the same registry and reset
@@ -701,8 +708,7 @@ int main(int argc, char** argv) {
         } else {
             const std::string host = cli.get("host");
             const RunResult result = run_load(spec, replay, [&](std::size_t) {
-                return serve::tcp_connect(host,
-                                          static_cast<std::uint16_t>(port));
+                return serve::tcp_connect(host, port);
             });
             std::printf("%zu session(s) x %zu events: %zu events in %.2fs — "
                         "%.0f events/s, %llu alarms%s\n",
@@ -713,14 +719,14 @@ int main(int argc, char** argv) {
                         verified_suffix(result));
             print_latency_summary(result);
             report_errors(result.errors);
-            if (const std::string scrape_port = cli.get("scrape-http");
-                !scrape_port.empty()) {
-                const std::vector<std::string> http_errors = scrape_http_check(
-                    host, static_cast<std::uint16_t>(std::stoul(scrape_port)));
+            if (!cli.get("scrape-http").empty()) {
+                const auto scrape_port = cli.get_number<std::uint16_t>("scrape-http");
+                const std::vector<std::string> http_errors =
+                    scrape_http_check(host, scrape_port);
                 report_errors(http_errors);
                 if (http_errors.empty())
-                    std::printf("GET /metrics on port %s: valid OpenMetrics\n",
-                                scrape_port.c_str());
+                    std::printf("GET /metrics on port %u: valid OpenMetrics\n",
+                                static_cast<unsigned>(scrape_port));
             }
         }
         return failed ? 1 : 0;

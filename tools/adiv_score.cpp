@@ -34,7 +34,6 @@
 // Exit status: 0 when no alarms fire, 2 when at least one alarm event fires
 // (scriptable), 1 on errors.
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -78,8 +77,7 @@ int main(int argc, char** argv) {
         if (!cli.parse(argc, argv)) return 0;
         const std::string input_path = cli.get("input");
         require(!input_path.empty(), "--input is required");
-        const std::size_t batch_size =
-            static_cast<std::size_t>(cli.get_int("batch"));
+        const std::size_t batch_size = cli.get_number<std::size_t>("batch");
         require(batch_size >= 1, "--batch must be at least 1");
         const bool framed = cli.get_flag("framed");
         const bool csv = cli.get_flag("csv");
@@ -115,12 +113,12 @@ int main(int argc, char** argv) {
             bool bounded = false;
             std::optional<Symbol> first;
             if (tag == "adiv-stream" || tag == "adiv-trace") {
-                const std::uint64_t version = read_u64(in, "format version");
+                const auto version = read_number<std::uint64_t>(in, "format version");
                 require_data(version == 1, "unsupported " + tag +
                                                " format version " +
                                                std::to_string(version));
-                alphabet_size = read_size(in, "alphabet size");
-                remaining = read_size(in, "stream length");
+                alphabet_size = read_number<std::size_t>(in, "alphabet size");
+                remaining = read_number<std::size_t>(in, "stream length");
                 bounded = true;
                 if (tag == "adiv-trace") {
                     std::vector<std::string> names;
@@ -130,14 +128,11 @@ int main(int argc, char** argv) {
                     alphabet.emplace(names);
                 }
             } else {
-                std::uint64_t id = 0;
-                const auto [end, ec] =
-                    std::from_chars(tag.data(), tag.data() + tag.size(), id);
-                require_data(ec == std::errc{} && end == tag.data() + tag.size(),
-                             "unrecognized stdin input: expected adiv-stream, "
-                             "adiv-trace, or bare symbol ids (got '" +
-                                 tag + "')");
-                first = static_cast<Symbol>(id);
+                first = parse_number<Symbol>(tag);
+                if (!first)
+                    throw DataError("unrecognized stdin input: expected "
+                                    "adiv-stream, adiv-trace, or bare symbol "
+                                    "ids (got '" + tag + "')");
             }
 
             const bool keep_events = !framed && !csv;  // report needs them
@@ -168,13 +163,9 @@ int main(int argc, char** argv) {
                 if (alphabet) {
                     consume(alphabet->id(token));
                 } else {
-                    std::uint64_t id = 0;
-                    const auto [end, ec] = std::from_chars(
-                        token.data(), token.data() + token.size(), id);
-                    require_data(
-                        ec == std::errc{} && end == token.data() + token.size(),
-                        "'" + token + "' is not a symbol id");
-                    consume(static_cast<Symbol>(id));
+                    const std::optional<Symbol> id = parse_number<Symbol>(token);
+                    if (!id) throw DataError("'" + token + "' is not a symbol id");
+                    consume(*id);
                 }
                 if (bounded) --remaining;
             }
@@ -199,7 +190,7 @@ int main(int argc, char** argv) {
             }
 
             const std::size_t jobs =
-                resolve_jobs(static_cast<std::size_t>(cli.get_int("jobs")));
+                resolve_jobs(cli.get_number<std::size_t>("jobs"));
             const std::size_t dw = detector->window_length();
             const std::size_t windows = test.window_count(dw);
             if (jobs > 1 && detector->window_local() && windows >= 2 * jobs) {
@@ -249,7 +240,7 @@ int main(int argc, char** argv) {
                         std::min(batch_size, responses.size() - pos));
             std::fflush(stdout);
             const auto events =
-                extract_alarm_events(responses, cli.get_double("threshold"));
+                extract_alarm_events(responses, cli.get_number<double>("threshold"));
             std::fprintf(stderr, "# %zu alarm event(s) over %zu windows\n",
                          events.size(), responses.size());
             return events.empty() ? 0 : 2;
@@ -263,7 +254,7 @@ int main(int argc, char** argv) {
             return 0;
         }
         const auto events =
-            extract_alarm_events(responses, cli.get_double("threshold"));
+            extract_alarm_events(responses, cli.get_number<double>("threshold"));
         std::printf("%s", render_alarm_report(
                               events, &test, detector->window_length(),
                               alphabet ? &*alphabet : nullptr)

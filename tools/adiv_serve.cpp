@@ -92,14 +92,13 @@ int main(int argc, char** argv) {
         if (!cli.parse(argc, argv)) return 0;
 
         serve::ServerConfig config;
-        config.jobs = resolve_jobs(static_cast<std::size_t>(cli.get_int("jobs")));
-        config.shards = static_cast<std::size_t>(cli.get_int("shards"));
-        config.queue_capacity = static_cast<std::size_t>(cli.get_int("queue"));
-        config.scorer_buffer = static_cast<std::size_t>(cli.get_int("buffer"));
+        config.jobs = resolve_jobs(cli.get_number<std::size_t>("jobs"));
+        config.shards = cli.get_number<std::size_t>("shards");
+        config.queue_capacity = cli.get_number<std::size_t>("queue");
+        config.scorer_buffer = cli.get_number<std::size_t>("buffer");
         config.allow_model_paths = cli.get_flag("allow-paths");
-        config.flight_capacity = static_cast<std::size_t>(cli.get_int("flight"));
-        config.profile_sample_every =
-            static_cast<std::uint64_t>(cli.get_int("profile-sample"));
+        config.flight_capacity = cli.get_number<std::size_t>("flight");
+        config.profile_sample_every = cli.get_number<std::uint64_t>("profile-sample");
         const bool profile = cli.get_flag("profile");
         if (profile) {
             require(profiling_compiled(),
@@ -125,7 +124,7 @@ int main(int argc, char** argv) {
         } else {
             const std::string kind_name = cli.get("detector");
             require(!kind_name.empty(), "--model or --detector is required");
-            const std::size_t dw = static_cast<std::size_t>(cli.get_int("dw"));
+            const std::size_t dw = cli.get_number<std::size_t>("dw");
             auto detector = make_detector(detector_kind_from_string(kind_name), dw);
             if (const std::string input = cli.get("input"); !input.empty()) {
                 std::ifstream probe(input);
@@ -136,8 +135,7 @@ int main(int argc, char** argv) {
                                                     : load_stream_file(input));
             } else {
                 CorpusSpec spec;
-                spec.training_length =
-                    static_cast<std::size_t>(cli.get_int("training-length"));
+                spec.training_length = cli.get_number<std::size_t>("training-length");
                 detector->train(TrainingCorpus::generate(spec).training());
             }
             models.push_back(std::move(detector));
@@ -163,11 +161,11 @@ int main(int argc, char** argv) {
                 model);
 
         serve::TcpListener listener(
-            static_cast<std::uint16_t>(cli.get_int("port")));
+            cli.get_number<std::uint16_t>("port"));
         std::unique_ptr<serve::HttpMetricsListener> scrape;
         if (!cli.get("metrics-port").empty()) {
             scrape = std::make_unique<serve::HttpMetricsListener>(
-                static_cast<std::uint16_t>(cli.get_int("metrics-port")));
+                cli.get_number<std::uint16_t>("metrics-port"));
             std::printf("adiv_serve: metrics on 127.0.0.1:%u\n",
                         static_cast<unsigned>(scrape->port()));
         }

@@ -190,10 +190,10 @@ int main(int argc, char** argv) {
     cli.add_flag("once", "render a single frame and exit (no screen clear)");
     try {
         if (!cli.parse(argc, argv)) return 0;
-        const int port = cli.get_int("port");
-        require(port > 0 && port <= 65535, "--port is required");
+        const auto port = cli.get_number<std::uint16_t>("port");
+        require(port > 0, "--port is required");
         const std::string host = cli.get("host");
-        const int interval_ms = cli.get_int("interval-ms");
+        const int interval_ms = cli.get_number<int>("interval-ms");
         require(interval_ms > 0, "--interval-ms must be positive");
         const bool once = cli.get_flag("once");
         const std::string endpoint = host + ":" + std::to_string(port);
@@ -204,8 +204,7 @@ int main(int argc, char** argv) {
         for (;;) {
             std::string body;
             try {
-                const OpenMetricsDocument doc =
-                    fetch_metrics(host, static_cast<std::uint16_t>(port));
+                const OpenMetricsDocument doc = fetch_metrics(host, port);
                 const Frame frame = fold_frame(doc, clock.seconds());
                 body = render_frame(
                     frame, have_previous ? &previous : nullptr, endpoint);

@@ -65,22 +65,20 @@ int main(int argc, char** argv) {
             }
         } else {
             CorpusSpec corpus;
-            corpus.alphabet_size =
-                static_cast<std::size_t>(cli.get_int("alphabet"));
-            corpus.training_length =
-                static_cast<std::size_t>(cli.get_int("training-length"));
-            corpus.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+            corpus.alphabet_size = cli.get_number<std::size_t>("alphabet");
+            corpus.training_length = cli.get_number<std::size_t>("training-length");
+            corpus.seed = cli.get_number<std::uint64_t>("seed");
             training = TrainingCorpus::generate(corpus).training();
         }
         std::printf("training data: %zu events, alphabet %zu\n", training.size(),
                     training.alphabet_size());
 
         DetectorSettings settings;
-        settings.markov.probability_floor = cli.get_double("floor");
-        settings.nn.probability_floor = cli.get_double("floor");
-        settings.hmm.probability_floor = cli.get_double("floor");
-        settings.rule.probability_floor = cli.get_double("floor");
-        const std::size_t window = static_cast<std::size_t>(cli.get_int("window"));
+        settings.markov.probability_floor = cli.get_number<double>("floor");
+        settings.nn.probability_floor = cli.get_number<double>("floor");
+        settings.hmm.probability_floor = cli.get_number<double>("floor");
+        settings.rule.probability_floor = cli.get_number<double>("floor");
+        const std::size_t window = cli.get_number<std::size_t>("window");
         auto detector = instrument(make_detector(
             detector_kind_from_string(cli.get("detector")), window, settings));
 
