@@ -23,8 +23,11 @@
 // concurrently from multiple threads on the same instance; the experiment
 // engine (src/engine) relies on this to fan one trained model out across
 // scoring workers. Implementations must not mutate unguarded state inside
-// score() — caches behind `mutable` members must be internally synchronized
-// (see score_memo.hpp) and must never change observable responses.
+// score(). The preferred shape is an immutable trained model plus scratch
+// local to the call (the neural net caches its forward passes that way);
+// a cache that must outlive a call sits behind a `mutable`, internally
+// synchronized member (score_memo.hpp; only Lane & Brodley still keeps one)
+// and must never change observable responses.
 #pragma once
 
 #include <cstddef>

@@ -103,10 +103,13 @@ LaneBrodleyDetector LaneBrodleyDetector::load_model(std::istream& in) {
     const std::size_t windows = read_number<std::size_t>(in, "window count");
     LaneBrodleyDetector detector(window);
     detector.codec_.emplace(alphabet);
-    require(window <= detector.codec_->max_length(),
-            "window length exceeds codec capacity");
-    detector.database_.reserve(windows * window);
-    for (std::size_t i = 0; i < windows * window; ++i) {
+    require_data(window <= detector.codec_->max_length(),
+                 "window length exceeds codec capacity");
+    // Read the symbols before sizing anything from the header: the database
+    // grows only as symbols arrive, so a huge count in a short file ends in a
+    // DataError, not an allocation of that size.
+    const std::size_t symbols = checked_product(windows, window);
+    for (std::size_t i = 0; i < symbols; ++i) {
         const auto s = read_number<Symbol>(in, "database symbol");
         require_data(s < alphabet, "database symbol outside alphabet");
         detector.database_.push_back(s);

@@ -69,7 +69,15 @@ LookaheadPairsDetector LookaheadPairsDetector::load_model(std::istream& in) {
     const std::size_t pairs = read_number<std::size_t>(in, "pair count");
     LookaheadPairsDetector detector(window);
     detector.alphabet_size_ = alphabet;
-    detector.seen_.assign((window - 1) * alphabet * alphabet, false);
+    // Read the pairs before sizing anything from the header: the list grows
+    // only as pairs arrive, so a huge count in a short file ends in a
+    // DataError, not an allocation of that size.
+    struct Pair {
+        std::size_t offset;
+        Symbol first;
+        Symbol follower;
+    };
+    std::vector<Pair> read;
     for (std::size_t i = 0; i < pairs; ++i) {
         const std::size_t k = read_number<std::size_t>(in, "pair offset");
         require_data(k >= 1 && k < window, "pair offset outside window");
@@ -77,8 +85,12 @@ LookaheadPairsDetector LookaheadPairsDetector::load_model(std::istream& in) {
         const auto follower = read_number<Symbol>(in, "pair follower symbol");
         require_data(first < alphabet && follower < alphabet,
                      "pair symbol outside alphabet");
-        detector.seen_[detector.index(k, first, follower)] = true;
+        read.push_back({k, first, follower});
     }
+    detector.seen_.assign(checked_product(checked_product(window - 1, alphabet), alphabet),
+                          false);
+    for (const Pair& pair : read)
+        detector.seen_[detector.index(pair.offset, pair.first, pair.follower)] = true;
     detector.trained_ = true;
     return detector;
 }

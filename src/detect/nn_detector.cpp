@@ -1,6 +1,7 @@
 #include "detect/nn_detector.hpp"
 
 #include <cmath>
+#include <unordered_map>
 
 #include "nn/encoding.hpp"
 #include "seq/conditional_model.hpp"
@@ -8,23 +9,6 @@
 #include "util/text_serial.hpp"
 
 namespace adiv {
-namespace {
-
-/// a * b, or a DataError when the model file's sizes overflow it.
-std::size_t checked_product(std::size_t a, std::size_t b) {
-    std::size_t out = 0;
-    require_data(!__builtin_mul_overflow(a, b, &out), "model sizes overflow");
-    return out;
-}
-
-/// a + b, or a DataError when the model file's sizes overflow it.
-std::size_t checked_sum(std::size_t a, std::size_t b) {
-    std::size_t out = 0;
-    require_data(!__builtin_add_overflow(a, b, &out), "model sizes overflow");
-    return out;
-}
-
-}  // namespace
 
 NnDetector::NnDetector(std::size_t window_length, NnDetectorConfig config)
     : window_length_(window_length), config_(config) {
@@ -41,7 +25,6 @@ NnDetector::NnDetector(std::size_t window_length, NnDetectorConfig config)
 void NnDetector::train(const EventStream& training) {
     alphabet_size_ = training.alphabet_size();
     codec_ = NgramCodec(alphabet_size_);
-    memo_.clear();
 
     const std::size_t context_len = window_length_ - 1;
     const ConditionalModel model(training, context_len);
@@ -74,11 +57,7 @@ void NnDetector::train(const EventStream& training) {
 std::vector<double> NnDetector::predict(SymbolView context) const {
     ADIV_REQUIRE(net_.has_value(), "neural-net detector must be trained before use");
     ADIV_REQUIRE(context.size() == window_length_ - 1, "context length mismatch");
-    const NgramKey key = codec_.encode(context);
-    if (auto cached = memo_.find(key)) return *std::move(cached);
-    std::vector<double> probs = net_->forward(one_hot_context(context, alphabet_size_));
-    memo_.store(key, probs);
-    return probs;
+    return net_->forward(one_hot_context(context, alphabet_size_));
 }
 
 std::vector<double> NnDetector::score(const EventStream& test) const {
@@ -86,13 +65,32 @@ std::vector<double> NnDetector::score(const EventStream& test) const {
     ADIV_REQUIRE(test.alphabet_size() == alphabet_size_,
                  "test alphabet does not match training alphabet");
     const std::size_t context_len = window_length_ - 1;
+    const std::size_t windows = test.window_count(window_length_);
     std::vector<double> responses;
-    responses.reserve(test.window_count(window_length_));
-    for_each_window(test, window_length_, [&](std::size_t, SymbolView w) {
-        const std::vector<double> probs = predict(w.subspan(0, context_len));
-        const double p = probs[w[context_len]];
-        responses.push_back(quantizer_.response_for_probability(p));
-    });
+    if (windows == 0) return responses;
+    responses.reserve(windows);
+
+    // Test streams repeat contexts heavily, so this call runs one forward
+    // pass per distinct context: row_of maps a context key to the offset of
+    // its responses (one per next symbol) in `rows`. The cache lives only
+    // for this call, so concurrent calls share nothing but the read-only net.
+    std::unordered_map<NgramKey, std::size_t, NgramKeyHash> row_of;
+    std::vector<double> rows;
+    Mlp::Workspace ws(*net_);
+    std::vector<double> input(one_hot_size(context_len, alphabet_size_));
+    const SymbolView all = test.view();
+    const NgramKey mask = codec_.mask_for(context_len);
+    NgramKey key = codec_.encode(all.subspan(0, context_len));
+    for (std::size_t p = 0; p < windows; ++p) {
+        if (p > 0) key = codec_.slide(key, all[p + context_len - 1], mask);
+        const auto [it, fresh] = row_of.try_emplace(key, rows.size());
+        if (fresh) {
+            one_hot_context_into(all.subspan(p, context_len), alphabet_size_, input);
+            for (const double prob : net_->forward(input, ws))
+                rows.push_back(quantizer_.response_for_probability(prob));
+        }
+        responses.push_back(rows[it->second + all[p + context_len]]);
+    }
     return responses;
 }
 
@@ -137,6 +135,8 @@ NnDetector NnDetector::load_model(std::istream& in) {
     NnDetector detector(window, config);
     detector.alphabet_size_ = alphabet;
     detector.codec_ = NgramCodec(alphabet);
+    require_data(window - 1 <= detector.codec_.max_length(),
+                 "window length exceeds the context-key capacity of the alphabet");
     detector.training_loss_ = read_number<double>(in, "training loss");
 
     // Read the parameters before sizing anything from the header: the vector

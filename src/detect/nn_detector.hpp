@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "detect/detector.hpp"
-#include "detect/score_memo.hpp"
 #include "nn/mlp.hpp"
 #include "seq/ngram.hpp"
 
@@ -65,7 +64,8 @@ public:
     /// Final training loss (weighted cross-entropy); throws before train().
     [[nodiscard]] double training_loss() const;
 
-    /// Predicted next-symbol distribution for a DW-1 context (diagnostics).
+    /// Predicted next-symbol distribution for a DW-1 context: one forward
+    /// pass, bit-identical to the probabilities score() quantizes.
     [[nodiscard]] std::vector<double> predict(SymbolView context) const;
 
 private:
@@ -74,14 +74,12 @@ private:
     ResponseQuantizer quantizer_;
     std::size_t alphabet_size_ = 0;
     /// Context-key codec for the training alphabet; rebuilt by train() and
-    /// load_model() so predict() builds none per window.
+    /// load_model() so score() builds none per call.
     NgramCodec codec_{1};
+    /// Written only by train() and load_model(); score() and predict() read
+    /// it, so concurrent calls share it with no lock.
     std::optional<Mlp> net_;
     double training_loss_ = 0.0;
-    /// Forward passes memoized by context key; test streams repeat contexts
-    /// heavily. Cleared on retrain; mutex-guarded, so concurrent score()
-    /// calls stay safe.
-    mutable ScoreMemo<NgramKey, std::vector<double>, NgramKeyHash> memo_;
 };
 
 }  // namespace adiv

@@ -1,8 +1,9 @@
 // ScoreMemo: a mutex-guarded memo for detector score() paths.
 //
-// Several detectors cache expensive per-window computations behind a
-// `mutable` member so that the const score() stays fast on test streams that
-// repeat windows heavily. A bare unordered_map would make those detectors
+// A detector may cache expensive per-window computations behind a `mutable`
+// member so that the const score() stays fast on test streams that repeat
+// windows heavily (Lane & Brodley is the one that still does; the neural net
+// keeps its cache local to each score() call). A bare unordered_map would make those detectors
 // unsafe for the concurrent score() calls the experiment engine performs
 // (see detector.hpp, "Concurrency contract"); this wrapper serializes the
 // cache accesses while leaving the expensive compute outside the lock.

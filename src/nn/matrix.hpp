@@ -38,11 +38,14 @@ public:
         for (double& v : data_) v = value;
     }
 
-    /// y = W x (y sized rows()). Requires x.size() == cols().
+    /// y = W x (y sized rows()). Requires x.size() == cols(). Each output
+    /// starts at +0.0 and adds its column terms in ascending column order;
+    /// a few rows' sums are computed together, which changes no bit.
     void multiply(std::span<const double> x, std::span<double> y) const;
 
     /// y = W^T x (y sized cols()). Requires x.size() == rows(). Each output
-    /// starts at +0.0 and adds its row terms in ascending row order.
+    /// starts at +0.0 and adds its row terms in ascending row order, in a
+    /// local accumulator that holds a block of outputs across all rows.
     void multiply_transposed(std::span<const double> x, std::span<double> y) const;
 
     /// y = W^T x where x is zero outside `nonzero`, its ascending row list

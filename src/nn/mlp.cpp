@@ -59,19 +59,13 @@ Mlp::Mlp(MlpConfig config) : config_(std::move(config)) {
     }
 }
 
-// Scratch for one call, sized once and reused across its samples, so the
-// sample loop never allocates. Never a member: forward() runs concurrently
-// on one shared trained model.
-struct Mlp::Workspace {
-    explicit Workspace(const Mlp& net) {
-        nonzero.reserve(net.input_size());
-        outputs.reserve(net.layers_.size());
-        for (const Layer& layer : net.layers_) outputs.emplace_back(layer.bias.size());
-    }
-
-    std::vector<std::size_t> nonzero;          ///< input columns != 0, ascending
-    std::vector<std::vector<double>> outputs;  ///< outputs[i]: activation of layer i
-};
+// Sized once and reused across samples or calls, so a pass never allocates.
+// Never a member: forward() runs concurrently on one shared trained model.
+Mlp::Workspace::Workspace(const Mlp& net) {
+    nonzero.reserve(net.input_size());
+    outputs.reserve(net.layers_.size());
+    for (const Layer& layer : net.layers_) outputs.emplace_back(layer.bias.size());
+}
 
 struct Mlp::TrainScratch {
     /// Checks every sample against the network, then builds the scratch.
@@ -133,11 +127,20 @@ void Mlp::forward_internal(std::span<const double> input,
 }
 
 std::vector<double> Mlp::forward(std::span<const double> input) const {
-    ADIV_REQUIRE(input.size() == input_size(), "input size mismatch");
     Workspace ws(*this);
+    (void)forward(input, ws);
+    return std::move(ws.outputs.back());
+}
+
+std::span<const double> Mlp::forward(std::span<const double> input,
+                                     Workspace& ws) const {
+    ADIV_REQUIRE(input.size() == input_size(), "input size mismatch");
+    ADIV_ASSERT(ws.outputs.size() == layers_.size() &&
+                ws.outputs.back().size() == output_size());
+    ws.nonzero.clear();
     append_nonzero(input, ws.nonzero);
     forward_internal(input, ws.nonzero, ws);
-    return std::move(ws.outputs.back());
+    return ws.outputs.back();
 }
 
 double Mlp::loss(std::span<const MlpSample> batch) const {
@@ -146,11 +149,7 @@ double Mlp::loss(std::span<const MlpSample> batch) const {
     double total_weight = 0.0;
     double total_loss = 0.0;
     for (const MlpSample& sample : batch) {
-        ADIV_REQUIRE(sample.input.size() == input_size(), "input size mismatch");
-        ws.nonzero.clear();
-        append_nonzero(sample.input, ws.nonzero);
-        forward_internal(sample.input, ws.nonzero, ws);
-        const std::vector<double>& y = ws.outputs.back();
+        const std::span<const double> y = forward(sample.input, ws);
         double ce = 0.0;
         for (std::size_t c = 0; c < y.size(); ++c) {
             if (sample.target[c] > 0.0)

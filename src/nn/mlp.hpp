@@ -47,8 +47,26 @@ public:
         return config_.layer_sizes.back();
     }
 
+    /// Scratch for forward passes: one activation vector per layer. A caller
+    /// that runs many passes reuses one, so a pass allocates nothing; each
+    /// thread needs its own (a Workspace is never shared, the Mlp may be).
+    class Workspace {
+    public:
+        explicit Workspace(const Mlp& net);
+
+    private:
+        friend class Mlp;
+        std::vector<std::size_t> nonzero;          ///< input columns != 0, ascending
+        std::vector<std::vector<double>> outputs;  ///< outputs[i]: activation of layer i
+    };
+
     /// Softmax class probabilities for one input.
     [[nodiscard]] std::vector<double> forward(std::span<const double> input) const;
+
+    /// The same probabilities, computed in `ws`: the span stays valid until
+    /// ws is used again. Bit-identical to forward(input).
+    [[nodiscard]] std::span<const double> forward(std::span<const double> input,
+                                                  Workspace& ws) const;
 
     /// Weighted mean cross-entropy of the batch under current weights.
     [[nodiscard]] double loss(std::span<const MlpSample> batch) const;
@@ -78,8 +96,6 @@ private:
         std::vector<double> bias_grad;
     };
 
-    /// Per-call scratch for forward passes (defined in mlp.cpp).
-    struct Workspace;
     /// Per-call scratch for training, built once from a checked batch: every
     /// sample's nonzero input columns, a Workspace and the delta buffers
     /// (defined in mlp.cpp).

@@ -1,8 +1,8 @@
 #include "obs/openmetrics.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <map>
 #include <optional>
 #include <set>
@@ -62,9 +62,10 @@ std::string openmetrics_name(std::string_view name) {
 std::string openmetrics_number(double value) {
     if (std::isnan(value)) return "NaN";
     if (std::isinf(value)) return value > 0 ? "+Inf" : "-Inf";
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.12g", value);
-    return buf;
+    // Shortest round-trip form: parsing it gives back `value` exactly, so a
+    // large sum or gauge is never exported rounded.
+    char buf[32];
+    return std::string(buf, std::to_chars(buf, buf + sizeof buf, value).ptr);
 }
 
 std::string metrics_to_openmetrics(const MetricsRegistry& registry) {

@@ -37,8 +37,9 @@ namespace adiv {
 /// `adiv_` prefix, dots to underscores, anything outside [a-zA-Z0-9_] to '_'.
 std::string openmetrics_name(std::string_view name);
 
-/// Formats a sample value: decimal for finite doubles, "+Inf"/"-Inf"/"NaN"
-/// for the non-finite values OpenMetrics spells out.
+/// Formats a sample value: the shortest decimal that parses back to the
+/// same double for finite values, "+Inf"/"-Inf"/"NaN" for the non-finite
+/// values OpenMetrics spells out.
 std::string openmetrics_number(double value);
 
 /// Renders the full exposition (TYPE lines, samples, terminal "# EOF\n").

@@ -7,6 +7,7 @@
 // so a truncated or corrupted file fails loudly.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <iomanip>
 #include <istream>
@@ -47,6 +48,20 @@ T read_number(std::istream& in, const std::string& what) {
     const std::string token = read_token(in, what);
     if (const std::optional<T> value = parse_number<T>(token)) return *value;
     throw DataError("model file corrupt: '" + token + "' is not a valid " + what);
+}
+
+/// a * b for sizes read from a model file; a DataError when it overflows.
+inline std::size_t checked_product(std::size_t a, std::size_t b) {
+    std::size_t out = 0;
+    if (__builtin_mul_overflow(a, b, &out)) throw DataError("model sizes overflow");
+    return out;
+}
+
+/// a + b for sizes read from a model file; a DataError when it overflows.
+inline std::size_t checked_sum(std::size_t a, std::size_t b) {
+    std::size_t out = 0;
+    if (__builtin_add_overflow(a, b, &out)) throw DataError("model sizes overflow");
+    return out;
 }
 
 }  // namespace adiv

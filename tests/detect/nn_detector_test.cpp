@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <sstream>
+#include <thread>
+#include <vector>
+
 #include "support/corpus_fixture.hpp"
 #include "util/error.hpp"
 
@@ -107,6 +112,81 @@ TEST(NnDetector, ResponseCountMatchesWindows) {
     d.train(test::small_corpus().training());
     const EventStream test = test::small_corpus().background(40, 2);
     EXPECT_EQ(d.score(test).size(), test.window_count(4));
+}
+
+/// Held-out background with every 13th symbol replaced by an off-cycle one,
+/// so the stream mixes common, rare and unseen contexts.
+EventStream perturbed_test_stream(std::size_t length, std::uint64_t seed) {
+    const EventStream heldout = test::small_corpus().generate_heldout(length, seed);
+    Sequence events(heldout.view().begin(), heldout.view().end());
+    for (std::size_t i = 6; i < events.size(); i += 13)
+        events[i] = static_cast<Symbol>((events[i] * 5 + 3) % heldout.alphabet_size());
+    return EventStream(heldout.alphabet_size(), std::move(events));
+}
+
+/// score(test)[p] must be quantizer(predict(context of p)[next symbol of p])
+/// bit for bit: the per-call cache may skip forward passes, never change one.
+void expect_score_matches_predict(const NnDetector& d, const EventStream& test) {
+    const std::vector<double> got = d.score(test);
+    const std::size_t context_len = d.window_length() - 1;
+    ASSERT_EQ(got.size(), test.window_count(d.window_length()));
+    ResponseQuantizer quantizer;
+    quantizer.probability_floor = d.config().probability_floor;
+    const SymbolView all = test.view();
+    for (std::size_t p = 0; p < got.size(); ++p) {
+        const double want = quantizer.response_for_probability(
+            d.predict(all.subspan(p, context_len))[all[p + context_len]]);
+        ASSERT_EQ(std::memcmp(&got[p], &want, sizeof want), 0) << "window " << p;
+    }
+}
+
+TEST(NnDetector, ScoreEqualsQuantizedPredictBitForBit) {
+    NnDetector d(4, fast_config());
+    d.train(test::small_corpus().training());
+    const EventStream test = perturbed_test_stream(600, 17);
+    expect_score_matches_predict(d, test);
+
+    std::stringstream model;
+    d.save_model(model);
+    const NnDetector loaded = NnDetector::load_model(model);
+    expect_score_matches_predict(loaded, test);
+    const std::vector<double> a = d.score(test);
+    const std::vector<double> b = loaded.score(test);
+    ASSERT_EQ(a.size(), b.size());
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0);
+}
+
+TEST(NnDetector, ConcurrentScoresMatchSerial) {
+    NnDetector d(5, fast_config());
+    d.train(test::small_corpus().training());
+    std::vector<EventStream> streams;
+    for (std::uint64_t seed = 0; seed < 8; ++seed)
+        streams.push_back(perturbed_test_stream(400, 100 + seed));
+    std::vector<std::vector<double>> serial;
+    for (const EventStream& s : streams) serial.push_back(d.score(s));
+
+    constexpr std::size_t kThreads = 4;
+    std::vector<std::vector<std::vector<double>>> got(kThreads);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t)
+        threads.emplace_back([&, t] {
+            // Each thread walks the streams from a different start, so the
+            // same stream is scored by several threads at once.
+            got[t].resize(streams.size());
+            for (std::size_t i = 0; i < streams.size(); ++i) {
+                const std::size_t k = (i + 2 * t) % streams.size();
+                got[t][k] = d.score(streams[k]);
+            }
+        });
+    for (std::thread& th : threads) th.join();
+    for (std::size_t t = 0; t < kThreads; ++t)
+        for (std::size_t k = 0; k < streams.size(); ++k) {
+            ASSERT_EQ(got[t][k].size(), serial[k].size());
+            EXPECT_EQ(std::memcmp(got[t][k].data(), serial[k].data(),
+                                  serial[k].size() * sizeof(double)),
+                      0)
+                << "thread " << t << ", stream " << k;
+        }
 }
 
 TEST(NnDetector, NameAndWindow) {

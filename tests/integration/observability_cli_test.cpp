@@ -212,6 +212,32 @@ TEST_F(ObservabilityCli, StdinSymbolIdsBeyondUint32AreRejected) {
     }
 }
 
+TEST_F(ObservabilityCli, TraceviewCountsEachLineOfMergedFilesOnce) {
+    // A two-line trace, with and without its final newline.
+    const auto trace = read_lines(*dir_ + "train_trace.jsonl");
+    ASSERT_GE(trace.size(), 2u);
+    const std::string two = *dir_ + "two_lines.jsonl";
+    const std::string unterminated = *dir_ + "two_lines_no_newline.jsonl";
+    std::ofstream(two) << trace[0] << '\n' << trace[1] << '\n';
+    std::ofstream(unterminated) << trace[0] << '\n' << trace[1];
+
+    const std::string out_path = *dir_ + "traceview.json";
+    const auto traceview = [&](const std::string& files) {
+        const int rc = run_command(std::string(ADIV_TRACEVIEW_TOOL) + " --json " +
+                                   files + " > " + quoted(out_path) + " 2>&1");
+        EXPECT_EQ(rc, 0) << read_file(out_path);
+        return read_file(out_path);
+    };
+    for (const std::string& file : {two, unterminated}) {
+        const std::string report = traceview(quoted(file));
+        EXPECT_NE(report.find("\"lines\":2,\"skipped\":0"), std::string::npos)
+            << file << ": " << report;
+    }
+    // Merging keeps each file's lines apart and adds none of its own.
+    const std::string merged = traceview(quoted(unterminated) + " " + quoted(two));
+    EXPECT_NE(merged.find("\"lines\":4,\"skipped\":0"), std::string::npos) << merged;
+}
+
 #else  // tool paths not provided by the build
 
 TEST(ObservabilityCli, DISABLED_ToolsNotBuilt) {

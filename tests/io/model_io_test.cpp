@@ -328,6 +328,22 @@ TEST(ModelIo, RejectsNnHiddenUnitsBeyondItsParameters) {
     EXPECT_THROW((void)load_detector(in), DataError);
 }
 
+TEST(ModelIo, RejectsLaneBrodleyWindowCountsThatWrapOrCannotFit) {
+    // (2^62 + 1) windows x 4 symbols wraps to 4 symbols: the file must not
+    // load as a one-window database.
+    std::istringstream wraps("adiv-model 1 lane-brodley 4 8 4611686018427387905 0 1 2 3");
+    EXPECT_THROW((void)load_detector(wraps), DataError);
+    // 10^15 windows must not size anything before their symbols arrive.
+    std::istringstream huge("adiv-model 1 lane-brodley 4 8 1000000000000000 0 1 2 3");
+    EXPECT_THROW((void)load_detector(huge), DataError);
+}
+
+TEST(ModelIo, RejectsLookaheadPairsTableSizeThatOverflows) {
+    // 3 offsets x 10^11 x 10^11 pair bits overflows size_t.
+    std::istringstream in("adiv-model 1 lookahead-pairs 4 100000000000 1 1 0 1");
+    EXPECT_THROW((void)load_detector(in), DataError);
+}
+
 TEST(ModelIo, RejectsZeroGramCount) {
     // A stored window with count 0 is malformed; it must neither vanish nor
     // count as a distinct window.

@@ -6,7 +6,8 @@
 // The training gates are scale-free: in steady state one train_epoch call
 // must make the same number of allocations for a batch of N samples as for
 // 4N, so no sample allocates; and train() must make as many for 8 epochs as
-// for 1, so no epoch allocates.
+// for 1, so no epoch allocates. NnDetector::score must make as many for a
+// stream as for that stream repeated, so no window allocates.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -88,7 +89,7 @@ TEST(MlpAllocBudget, DenseTrainAllocationsIndependentOfEpochs) {
     expect_train_allocations_independent_of_epochs(false);
 }
 
-TEST(MlpAllocBudget, NnPredictOnMemoHitAllocatesAtMostItsResult) {
+TEST(MlpAllocBudget, NnScoreAllocationsIndependentOfStreamRepeats) {
     Sequence events;
     for (int i = 0; i < 40; ++i)
         for (Symbol s = 0; s < 8; ++s) events.push_back(s);
@@ -96,12 +97,25 @@ TEST(MlpAllocBudget, NnPredictOnMemoHitAllocatesAtMostItsResult) {
     cfg.epochs = 20;
     NnDetector detector(6, cfg);
     detector.train(EventStream(8, std::move(events)));
-    const Sequence context{0, 1, 2, 3, 4};
-    (void)detector.predict(context);  // fills the memo
-    const std::uint64_t n = allocations_during([&] { (void)detector.predict(context); });
-    // The returned vector is the only allocation left; the memo copies it
-    // out. No codec or contract message may allocate per window.
-    EXPECT_LE(n, 1u);
+
+    // A stream with unseen contexts, and the same stream four times over.
+    // `once` is itself a random block repeated, so the windows that span two
+    // copies are windows `once` already has: the repeats add windows but no
+    // distinct context.
+    Rng rng(3);
+    Sequence block;
+    for (int i = 0; i < 150; ++i) block.push_back(static_cast<Symbol>(rng.below(8)));
+    Sequence once = block;
+    once.insert(once.end(), block.begin(), block.end());
+    Sequence four;
+    for (int r = 0; r < 4; ++r) four.insert(four.end(), once.begin(), once.end());
+    const EventStream a(8, once);
+    const EventStream b(8, std::move(four));
+    (void)detector.score(a);  // warm-up
+    const std::uint64_t for_once = allocations_during([&] { (void)detector.score(a); });
+    const std::uint64_t for_four = allocations_during([&] { (void)detector.score(b); });
+    // The score cache may allocate per distinct context, never per window.
+    EXPECT_EQ(for_once, for_four) << "NnDetector::score allocates per window";
 }
 
 }  // namespace

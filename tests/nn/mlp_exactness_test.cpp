@@ -160,15 +160,16 @@ private:
 enum class InputKind { OneHot, Dense, MixedZeros };
 
 /// 40 samples with soft targets and uneven weights. One-hot inputs encode a
-/// 4-symbol context over a 5-symbol alphabet, like the NN detector's.
-std::vector<MlpSample> make_batch(InputKind kind, std::size_t outputs,
-                                  std::uint64_t seed) {
-    constexpr std::size_t kContext = 4;
+/// context over a 5-symbol alphabet, like the NN detector's: 4 symbols for
+/// 20 inputs, and the columns past the last whole symbol stay zero.
+std::vector<MlpSample> make_batch(InputKind kind, std::size_t inputs,
+                                  std::size_t outputs, std::uint64_t seed) {
     constexpr std::size_t kAlphabet = 5;
+    const std::size_t context = inputs / kAlphabet;
     Rng rng(seed);
     std::vector<MlpSample> batch(40);
     for (MlpSample& s : batch) {
-        s.input.assign(kContext * kAlphabet, 0.0);
+        s.input.assign(inputs, 0.0);
         for (std::size_t c = 0; c < s.input.size(); ++c) {
             switch (kind) {
                 case InputKind::OneHot:
@@ -188,7 +189,7 @@ std::vector<MlpSample> make_batch(InputKind kind, std::size_t outputs,
             }
         }
         if (kind == InputKind::OneHot)
-            for (std::size_t k = 0; k < kContext; ++k)
+            for (std::size_t k = 0; k < context; ++k)
                 s.input[k * kAlphabet + rng.below(kAlphabet)] = 1.0;
         s.target.assign(outputs, 0.0);
         double total = 0.0;
@@ -214,7 +215,8 @@ void expect_bit_identical_training(InputKind kind, std::vector<std::size_t> size
     cfg.seed = 11;
     Mlp net(cfg);
     DenseReference reference(net);
-    const auto batch = make_batch(kind, cfg.layer_sizes.back(), 29);
+    const auto batch =
+        make_batch(kind, cfg.layer_sizes.front(), cfg.layer_sizes.back(), 29);
 
     constexpr std::size_t kEpochs = 50;
     for (std::size_t epoch = 0; epoch < kEpochs; ++epoch) {
@@ -255,6 +257,17 @@ TEST(MlpExactness, DeeperNetworkMatchesDenseReference) {
 
 TEST(MlpExactness, SingleLayerNetworkMatchesDenseReference) {
     expect_bit_identical_training(InputKind::OneHot, {20, 5});
+}
+
+// Matrix keeps 8 outputs of a transposed product in registers and computes
+// 4 dot products together; these widths exercise the remainder loops alone
+// (7 and 5 wide) and after whole blocks (11 = 8 + 3, 9 = 8 + 1 outputs; 11
+// rows = 2 x 4 + 3 dot products).
+TEST(MlpExactness, WidthsOffTheBlockMatchDenseReference) {
+    expect_bit_identical_training(InputKind::MixedZeros, {13, 7, 5});
+    expect_bit_identical_training(InputKind::OneHot, {13, 7, 5});
+    expect_bit_identical_training(InputKind::Dense, {13, 11, 9});
+    expect_bit_identical_training(InputKind::MixedZeros, {21, 11, 9, 3});
 }
 
 std::uint64_t fnv1a(const std::string& bytes) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "util/error.hpp"
@@ -45,6 +46,26 @@ TEST(OpenMetricsNumber, RendersSpecialValuesPerSpec) {
     EXPECT_EQ(openmetrics_number(-std::numeric_limits<double>::infinity()), "-Inf");
     EXPECT_EQ(openmetrics_number(0.0), "0");
     EXPECT_EQ(openmetrics_number(2.5), "2.5");
+}
+
+TEST(OpenMetricsNumber, LargeValuesRoundTripExactly) {
+    // %.12g once exported 1234567890123 as 1.23456789012e+12.
+    EXPECT_EQ(openmetrics_number(1234567890123.0), "1234567890123");
+    EXPECT_EQ(openmetrics_number(9007199254740992.0), "9007199254740992");
+    MetricsRegistry reg;
+    reg.counter("serve.events_pushed").add(1234567890123);
+    reg.counter("serve.alarms_emitted").add(std::uint64_t{1} << 53);
+    reg.gauge("serve.queue_depth").set(1234567890123.0);
+    reg.gauge("serve.sessions_active").set(9007199254740992.0);
+    reg.gauge("serve.ratio").set(0.1 + 0.2);
+    reg.sketch("serve.push_latency_us").record(1234567890123.0);
+    const OpenMetricsDocument doc = parse_openmetrics(metrics_to_openmetrics(reg));
+    EXPECT_EQ(doc.value("adiv_serve_events_pushed_total"), 1234567890123.0);
+    EXPECT_EQ(doc.value("adiv_serve_alarms_emitted_total"), 9007199254740992.0);
+    EXPECT_EQ(doc.value("adiv_serve_queue_depth"), 1234567890123.0);
+    EXPECT_EQ(doc.value("adiv_serve_sessions_active"), 9007199254740992.0);
+    EXPECT_EQ(doc.value("adiv_serve_ratio"), 0.1 + 0.2);
+    EXPECT_EQ(doc.value("adiv_serve_push_latency_us_sum"), 1234567890123.0);
 }
 
 TEST(OpenMetricsRender, EmptyRegistryIsJustEof) {

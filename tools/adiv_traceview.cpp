@@ -54,17 +54,22 @@ int main(int argc, char** argv) {
                 "[--request TRACEID] TRACE.jsonl ... ('-' = stdin)");
         require(cli.get("request").empty() || !cli.get_flag("contention"),
                 "--request and --contention are different views; pick one");
-        std::stringstream merged;
+        std::string text;
         for (const std::string& path : inputs) {
+            std::ostringstream file;
             if (path == "-") {
-                merged << std::cin.rdbuf();
+                file << std::cin.rdbuf();
             } else {
                 std::ifstream in(path);
                 require_data(in.good(), "cannot open '" + path + "'");
-                merged << in.rdbuf();
+                file << in.rdbuf();
             }
-            merged << '\n';  // keep file boundaries from gluing two lines
+            text += file.str();
+            // Keep file boundaries from gluing two lines, but add no empty
+            // line after a file that already ends in one: every line is counted.
+            if (!text.empty() && text.back() != '\n') text += '\n';
         }
+        std::istringstream merged(text);
         if (const std::string request = cli.get("request"); !request.empty()) {
             const RequestAnalysis analysis = analyze_request(merged, request);
             if (cli.get_flag("json"))
